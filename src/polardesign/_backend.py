@@ -1,39 +1,12 @@
-"""Kernel backend selection.
+"""The kernel module and its name.
 
-The compiled extension (``polardesign._kernels``) is preferred; the pure
-module is a drop-in twin.  POLARDESIGN_BACKEND=pure|compiled|auto overrides
-the default (auto).
+There is one kernel implementation, ``_pykernels``.  These two bindings stay
+because they are read from outside the library: the layered benchmark
+(``layerbench/``) wraps ``kernels.extend_level``, ``kernels.rref`` and
+``kernels.products`` to time the kernel layer, and records ``BACKEND_NAME``
+with every run.
 """
 
-from __future__ import annotations
+from . import _pykernels as kernels
 
-import os
-
-from . import _pykernels
-
-
-def load_backend(name: str):
-    """Return the kernel module for ``name`` ('pure' or 'compiled')."""
-    if name == "pure":
-        return _pykernels
-    if name == "compiled":
-        from . import _kernels
-
-        return _kernels
-    raise ValueError(f"unknown backend {name!r}")
-
-
-_requested = os.environ.get("POLARDESIGN_BACKEND", "auto")
-if _requested == "auto":
-    try:
-        kernels = load_backend("compiled")
-    except ImportError:
-        kernels = _pykernels
-elif _requested in ("pure", "compiled"):
-    kernels = load_backend(_requested)
-else:
-    raise RuntimeError(
-        f"POLARDESIGN_BACKEND={_requested!r}: expected auto, pure or compiled"
-    )
-
-BACKEND_NAME: str = kernels.NAME
+BACKEND_NAME = "pure"

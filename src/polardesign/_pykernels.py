@@ -1,17 +1,12 @@
-"""Pure-Python fallback for the F_p matrix kernels.
+"""F_p matrix kernels: the hot loops of enumeration and subspace products.
 
-Same entry points and byte layouts as the compiled extension
-(``polardesign._kernels``): matrices are row-major bytes of field codes,
-field arithmetic comes in as flat lookup tables (add/mul of length p*p,
-neg/inv/conj of length p).  Selected by ``polardesign._backend`` when the
-compiled module is unavailable or POLARDESIGN_BACKEND=pure.
+Matrices are row-major bytes of field codes; field arithmetic comes in as
+flat lookup tables (add/mul of length p*p, neg/inv/conj of length p).
 """
 
 from __future__ import annotations
 
-NAME = "pure"
-
-# form kind codes shared with the compiled kernel
+# form kind codes, as in geometry._KIND_CODES
 KIND_ALTERNATING = 0
 KIND_HERMITIAN = 1
 KIND_QUADRATIC = 2
@@ -66,10 +61,20 @@ def _reduce_mod(w, rows_by_pivot, d, p, addt, mult, negt):
     return w
 
 
-def extend_level(mats, count, j, d, p, addt, mult, negt, invt, kind, gram, quad, conj):
-    """One enumeration level: all isotropic (j+1)-space children of each
-    j-space in ``mats``, as concatenated canonical RREF matrices (duplicates
-    across parents are the caller's problem)."""
+def extend_level(
+    mats, count, j, d, p, addt, mult, negt, invt, kind, gram, quad, conj, start_pivots
+):
+    """One enumeration level: the isotropic (j+1)-spaces containing the
+    j-spaces in ``mats``, as concatenated canonical RREF matrices, each
+    produced exactly once.
+
+    Every j-space in ``mats`` contains a fixed start subspace whose pivot
+    columns are ``start_pivots`` (empty for a walk from the zero space).  A
+    child T is produced only by its canonical parent: the j-space inside T
+    that contains the start and lacks m, T's first pivot column outside the
+    start's pivots.  So a parent is extended only by vectors leading before
+    its own first pivot outside the start's pivots (orderly generation:
+    R. C. Read, 1978; B. D. McKay, 1998)."""
     out = bytearray()
     msize = j * d
     for im in range(count):
@@ -134,20 +139,28 @@ def extend_level(mats, count, j, d, p, addt, mult, negt, invt, kind, gram, quad,
                     w[c] = mult[w[c] * p + s]
             accum.append((lead, w))
             accum.sort()
-            comp.append(w)
+            comp.append((lead, w))
+        # ascending leads (the leads are distinct), so every combination of
+        # comp[idx] with later vectors leads at comp[idx]'s lead
+        comp.sort()
 
-        # one candidate vector per projective point of perp(S)/S
+        # one candidate vector per projective point of perp(S)/S that leads
+        # before the parent's first pivot outside the start
+        bound = next((pv for pv in spivots if pv not in start_pivots), d)
         nc = len(comp)
-        for lead in range(nc):
-            nfree = nc - 1 - lead
+        for idx in range(nc):
+            lead, first = comp[idx]
+            if lead >= bound:
+                break
+            nfree = nc - 1 - idx
             for it in range(p**nfree):
-                v = comp[lead][:]
+                v = first[:]
                 x = it
                 for pos in range(nfree):
                     ci = x % p
                     x //= p
                     if ci:
-                        cr = comp[lead + 1 + pos]
+                        cr = comp[idx + 1 + pos][1]
                         for c in range(d):
                             rc = cr[c]
                             if rc:
@@ -180,7 +193,8 @@ def extend_level(mats, count, j, d, p, addt, mult, negt, invt, kind, gram, quad,
                     if acc:
                         continue
 
-                # canonical insertion of v into S
+                # canonical insertion of v into S; a no-op for walks from the
+                # zero space, where v leads before every row of S
                 c0 = 0
                 while not v[c0]:
                     c0 += 1

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, decode, klp
+from .counting import decimal_string
 from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     FAMILY_NAMES,
@@ -46,7 +47,7 @@ def _stringify(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value)
+        return decimal_string(value)
     if isinstance(value, dict):
         return {key: _stringify(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
@@ -66,13 +67,6 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_ENUMERATION_BUDGET,
         help="enumeration budget (subspaces per level)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface compatibility; results are identical "
-        "for any value",
     )
 
 
@@ -128,8 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="exact-cover",
         choices=("exact-cover", "randomized-greedy-with-backtracking"),
+        help="exact-cover tries the k-spaces in lexicographic order; "
+        "randomized-greedy-with-backtracking runs the same exact cover over "
+        "an order shuffled by --seed",
     )
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument(
+        "--seed", type=int, default=0, help="shuffle seed of the randomized method"
+    )
     p_search.add_argument("--node-budget", type=int, default=10_000_000)
     p_search.add_argument("--output", help="also write the certificate to this path")
     _common_args(p_search)
@@ -147,7 +146,12 @@ def _cmd_count(args) -> int:
         expr = counting.polar_count_expr(space, args.k)
     else:
         expr = counting.polar_count_through_expr(space, args.t, args.k)
-    _emit({"count": str(expr.value), "factors": [str(f) for f in expr.factors]})
+    _emit(
+        {
+            "count": decimal_string(expr.value),
+            "factors": [decimal_string(f) for f in expr.factors],
+        }
+    )
     return EXIT_OK
 
 
@@ -156,7 +160,7 @@ def _cmd_enumerate(args) -> int:
     subspaces = isotropic_kspaces(space, args.k, args.budget)
     _emit(
         {
-            "count": str(len(subspaces)),
+            "count": decimal_string(len(subspaces)),
             "subspaces": [s.to_lists() for s in subspaces],
         }
     )
@@ -177,8 +181,8 @@ def _cmd_verify_counts(args) -> int:
         checks.append(
             {
                 "check": f"k={k} count",
-                "enumerated": str(len(levels[k])),
-                "formula": str(formula),
+                "enumerated": decimal_string(len(levels[k])),
+                "formula": decimal_string(formula),
                 "ok": match,
             }
         )
@@ -193,8 +197,8 @@ def _cmd_verify_counts(args) -> int:
         checks.append(
             {
                 "check": f"extensions t={t} k={k}",
-                "enumerated": str(found),
-                "formula": str(formula),
+                "enumerated": decimal_string(found),
+                "formula": decimal_string(formula),
                 "ok": match,
             }
         )
@@ -211,13 +215,13 @@ def _cmd_decode(args) -> int:
             "p": args.p,
             "t": args.t,
             "k": args.k,
-            "D": [[str(x) for x in row] for row in system.matrix],
-            "detD": str(system.det),
-            "detDj": [str(x) for x in system.det_cols],
-            "f": [str(x) for x in system.f],
-            "m": str(system.m),
-            "gamma_l1": str(gamma_l1),
-            "c4": str(max(system.m, gamma_l1)),
+            "D": [[decimal_string(x) for x in row] for row in system.matrix],
+            "detD": decimal_string(system.det),
+            "detDj": [decimal_string(x) for x in system.det_cols],
+            "f": [decimal_string(x) for x in system.f],
+            "m": decimal_string(system.m),
+            "gamma_l1": decimal_string(gamma_l1),
+            "c4": decimal_string(max(system.m, gamma_l1)),
             "verified": bounds.ok,
         }
     )
@@ -242,15 +246,15 @@ def _cmd_verify_decode(args) -> int:
             "p": space.p,
             "t": args.t,
             "k": args.k,
-            "m": str(report.m),
-            "gamma_l1": str(report.gamma_l1),
-            "c4": str(report.c4),
-            "c3_bound": str(report.c3_bound),
+            "m": decimal_string(report.m),
+            "gamma_l1": decimal_string(report.gamma_l1),
+            "c4": decimal_string(report.c4),
+            "c3_bound": decimal_string(report.c3_bound),
             "tspace": report.tspace.to_lists(),
             "wspace": report.wspace.to_lists(),
-            "tspaces_checked": str(report.checked),
+            "tspaces_checked": decimal_string(report.checked),
             "violations": [
-                {"tspace": v.to_lists(), "sum": str(total)}
+                {"tspace": v.to_lists(), "sum": decimal_string(total)}
                 for v, total in report.violations
             ],
             "l1_formula_consistent": report.l1_formula_consistent,
@@ -284,7 +288,9 @@ def _cmd_search(args) -> int:
     )
     result = find_design(problem)
     if isinstance(result, SearchFailure):
-        _emit({"found": False, "reason": result.reason, "nodes": str(result.nodes)})
+        _emit(
+            {"found": False, "reason": result.reason, "nodes": decimal_string(result.nodes)}
+        )
         return EXIT_BUDGET if result.reason == "budget" else EXIT_VIOLATION
     if args.output:
         write_certificate(args.output, result)
@@ -298,8 +304,8 @@ def _cmd_verify_design(args) -> int:
     report = verify_design(instance, args.budget)
     payload = {
         "verified": report.ok,
-        "lambda": str(report.lam) if report.lam is not None else None,
-        "blocks": str(len(instance.blocks)),
+        "lambda": decimal_string(report.lam) if report.lam is not None else None,
+        "blocks": decimal_string(len(instance.blocks)),
         "block_errors": [
             {"index": i, "reason": reason} for i, reason in report.block_errors
         ],
@@ -308,7 +314,7 @@ def _cmd_verify_design(args) -> int:
     if report.violation is not None:
         violating, count = report.violation
         payload["violating_tspace"] = violating.to_lists()
-        payload["cover_count"] = str(count)
+        payload["cover_count"] = decimal_string(count)
     _emit(payload)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 

@@ -9,8 +9,21 @@ exponents over sqrt(p), so no intermediate ever leaves the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
+
+
+def decimal_string(value: int | Fraction) -> str:
+    """Exact decimal text of an integer, or of a fraction as "num/den" (just
+    "num" when the denominator is 1), matching ``str`` at any size: ``str``
+    refuses integers longer than sys.get_int_max_str_digits() (4300 digits by
+    default), while converting through Decimal has no such limit."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return decimal_string(value.numerator)
+        return f"{decimal_string(value.numerator)}/{decimal_string(value.denominator)}"
+    return str(Decimal(value))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

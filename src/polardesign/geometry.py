@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from ._backend import kernels
+from . import _pykernels as kernels
 from .fields import FieldTable, make_field
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -390,6 +390,16 @@ def clear_enumeration_cache() -> None:
 
 
 def _extend_once(space, level, j):
+    """The next level of a walk from the zero space, sorted.  Kept apart
+    from ``_extend_level`` with this three-argument signature because
+    layerbench/tracer.py wraps it to count subspaces per level."""
+    return _extend_level(space, level, j, b"")
+
+
+def _extend_level(space, level, j, start_pivots):
+    """The isotropic (j+1)-spaces containing the j-spaces of ``level``, all
+    of which contain a start subspace with pivot columns ``start_pivots``;
+    the kernel produces each once, so sorting is all that is left."""
     f = space.field
     kind, gram, quad, conj = space.form.kernel_pack()
     raw = kernels.extend_level(
@@ -406,9 +416,10 @@ def _extend_once(space, level, j):
         gram,
         quad,
         conj,
+        start_pivots,
     )
     sz = (j + 1) * space.d
-    return sorted({raw[i * sz : (i + 1) * sz] for i in range(len(raw) // sz)})
+    return sorted([raw[i * sz : (i + 1) * sz] for i in range(len(raw) // sz)])
 
 
 def _final_level(space, k, budget, start: Subspace | None = None):
@@ -426,13 +437,17 @@ def _final_level(space, k, budget, start: Subspace | None = None):
         level, j0 = [b""], 0
     else:
         level, j0 = [start.to_bytes()], start.k
+        start_pivots = bytes(next(c for c, x in enumerate(row) if x) for row in start.rows)
     for predicted in _level_counts(space, k, j0, start):
         if predicted > budget:
             raise BudgetExceededError(
                 f"predicted level size {predicted} exceeds budget {budget}"
             )
     for j in range(j0, k):
-        level = _extend_once(space, level, j)
+        if start is None:
+            level = _extend_once(space, level, j)
+        else:
+            level = _extend_level(space, level, j, start_pivots)
         if len(level) > budget:
             raise BudgetExceededError(
                 f"level {j + 1} holds {len(level)} subspaces, budget {budget}"

@@ -177,28 +177,58 @@ def design_to_json(instance: DesignInstance) -> str:
     return json.dumps(design_to_payload(instance), sort_keys=True, indent=2) + "\n"
 
 
-def design_from_payload(payload: dict) -> DesignInstance:
+def _certificate_int(payload: dict, key: str) -> int:
+    value = payload[key]
+    if type(value) is not int:
+        raise ValueError(f"certificate {key!r} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _is_vector(row, space: PolarSpace) -> bool:
+    return (
+        isinstance(row, list)
+        and len(row) == space.d
+        and all(type(x) is int and 0 <= x < space.p for x in row)
+    )
+
+
+def design_from_payload(payload) -> DesignInstance:
+    """The design a parsed certificate claims.  Malformed input raises
+    ValueError: a payload that is not an object, a missing key, a value of
+    the wrong type, or a block row that is not d field codes below p.
+    Whether the blocks form the claimed design is for ``verify_design``."""
+    if not isinstance(payload, dict):
+        raise ValueError("certificate must be a JSON object")
     required = {"family", "q", "n", "t", "k", "lambda", "blocks"}
     missing = required - payload.keys()
     if missing:
         raise ValueError(f"certificate missing keys {sorted(missing)}")
     family = payload["family"]
-    q, n, t, k = (int(payload[key]) for key in ("q", "n", "t", "k"))
+    if not isinstance(family, str):
+        raise ValueError("certificate 'family' must be a string")
+    q, n, t, k, lam = (_certificate_int(payload, key) for key in ("q", "n", "t", "k", "lambda"))
+    provenance = payload.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError("certificate 'provenance' must be an object")
+    if not isinstance(payload["blocks"], list):
+        raise ValueError("certificate 'blocks' must be a list of blocks")
     space = standard_polar_space(family, n, q)
     blocks = []
-    for rows in payload["blocks"]:
-        blocks.append(
-            Subspace(ambient=space.d, rows=tuple(tuple(int(x) for x in r) for r in rows))
-        )
+    for i, rows in enumerate(payload["blocks"]):
+        if not isinstance(rows, list) or not all(_is_vector(row, space) for row in rows):
+            raise ValueError(
+                f"block {i} must be a list of rows of {space.d} field codes below {space.p}"
+            )
+        blocks.append(Subspace(ambient=space.d, rows=tuple(tuple(row) for row in rows)))
     return DesignInstance(
         family=family,
         q=q,
         n=n,
         t=t,
         k=k,
-        lam=int(payload["lambda"]),
+        lam=lam,
         blocks=tuple(blocks),
-        provenance=dict(payload.get("provenance", {})),
+        provenance=dict(provenance),
     )
 
 

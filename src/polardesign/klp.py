@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import lambda_ratio, polar_count
+from .counting import decimal_string, lambda_ratio, polar_count
 from .decode import build_decoding_system, gamma_l1_exact
 from .geometry import PolarSpace
 
@@ -181,8 +181,8 @@ def feasibility_report(
         "p": space.p,
         "t": t,
         "k": k,
-        "constant_C": str(Fraction(constant)),
-        "constant_c_prime": str(Fraction(c_prime)),
+        "constant_C": decimal_string(Fraction(constant)),
+        "constant_c_prime": decimal_string(Fraction(c_prime)),
         "k_exceeds_21t_over_2": threshold_flag,
         "m": budget.m,
         "gamma_l1": budget.gamma_l1,
@@ -205,7 +205,7 @@ def feasibility_report(
         "smallest_feasible_multiple": n_blocks,
         "n_fits_within_x": fits,
         "n_within_theorem_cap": within_cap,
-        "lambda_at_n": str(lam.value),
+        "lambda_at_n": decimal_string(lam.value),
         "lambda_is_integer": lam.value.denominator == 1,
         "inequalities": {name: ok for name, ok in budget.inequalities},
         "assumptions": {

@@ -274,7 +274,13 @@ def _multicover_first(n_constraints, option_cols, lam, order, node_budget):
 
 def find_design(problem: SearchProblem):
     """A verified DesignInstance, or SearchFailure distinguishing an exhausted
-    budget from exhaustive infeasibility."""
+    budget from exhaustive infeasibility.
+
+    Both methods run the same exact search (DLX for lambda = 1, the
+    multiplicity cover otherwise).  "exact-cover" tries the k-spaces in
+    lexicographic order; "randomized-greedy-with-backtracking" tries them in
+    an order shuffled by ``seed``, so it is the same exhaustive search over
+    another column order."""
     space, t, k, lam = problem.space, problem.t, problem.k, problem.lam
     if lam < 1:
         raise ValueError("lambda must be positive")

@@ -1,9 +1,13 @@
 import json
+import sys
 
 import pytest
 
 from polardesign.cli import main
+from polardesign.counting import polar_count
+from polardesign.geometry import standard_polar_space
 from polardesign.incidence import design_from_json
+from polardesign.klp import klp_budget
 
 
 def run_cli(capsys, *argv):
@@ -272,20 +276,60 @@ def test_diagnostics_go_to_stderr_not_stdout(capsys):
     assert code == 2 and out == "" and err != ""
 
 
-def test_threads_flag_accepted(capsys):
+def test_integers_beyond_the_str_digit_limit_are_printed_exactly(capsys):
+    limit = sys.get_int_max_str_digits()
     code, out, _ = run_cli(
-        capsys,
-        "enumerate",
-        "--family",
-        "C",
-        "--q",
-        "2",
-        "--n",
-        "2",
-        "--k",
-        "1",
-        "--threads",
-        "4",
+        capsys, "klp-report", "--family", "2A-odd", "--q", "5", "--n", "60", "--t", "3", "--k", "7"
     )
     assert code == 0
-    assert json.loads(out)["count"] == "15"
+    report = json.loads(out)
+    code, out, _ = run_cli(
+        capsys, "count", "--family", "C", "--q", "2", "--n", "200", "--k", "200"
+    )
+    assert code == 0
+    count = json.loads(out)["count"]
+    assert sys.get_int_max_str_digits() == limit  # no setting outlives the command
+    sys.set_int_max_str_digits(0)
+    try:
+        space = standard_polar_space("2A-odd", 60, 5)
+        want = klp_budget(space, 3, 7).theorem_cap
+        assert report["theorem_cap_p_21nt"] == str(want) and len(str(want)) > limit
+        want = polar_count(standard_polar_space("C", 200, 2), 200)
+        assert count == str(want) and len(count) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_CERT = {"family": "C", "q": 2, "n": 2, "t": 1, "k": 2, "lambda": 1}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {**_CERT, "blocks": 5},
+        {**_CERT, "blocks": [[[1, 0, 0, 0], [0, 0, 1]]]},
+        {**_CERT, "blocks": [[[1, 0, 0, 0], [0, 0, 2, 0]]]},
+        {**_CERT, "blocks": [[1, 0, 0, 0]]},
+        {**_CERT, "lambda": True, "blocks": []},
+        {**_CERT, "q": "2", "blocks": []},
+        {**_CERT, "blocks": [], "provenance": []},
+    ],
+    ids=[
+        "top-level array",
+        "blocks not a list",
+        "ragged rows",
+        "code outside the field",
+        "block not a list of rows",
+        "boolean lambda",
+        "string q",
+        "provenance not an object",
+    ],
+)
+def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload):
+    cert = tmp_path / "bad.json"
+    cert.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        design_from_json(cert.read_text())
+    code, out, err = run_cli(capsys, "verify-design", str(cert))
+    assert code == 2 and out == "" and err.startswith("error:")

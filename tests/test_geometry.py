@@ -9,6 +9,7 @@ from oracles import (
     naive_is_totally_isotropic,
     naive_isotropic_kspaces,
 )
+from polardesign import _pykernels
 from polardesign.counting import (
     gaussian_binomial,
     polar_count,
@@ -20,6 +21,7 @@ from polardesign.geometry import (
     BudgetExceededError,
     Subspace,
     _max_isotropic_dimension,
+    clear_enumeration_cache,
     enumerate_extensions,
     enumerate_isotropic_kspaces,
     evaluate,
@@ -201,6 +203,35 @@ def test_extension_counts_and_sets(family, n, q):
         assert len(exts) == polar_count_through(sp, t, k)
         expected = [u for u in levels[k] if subspace_contains(sp.field, u, base)]
         assert exts == expected
+
+
+@pytest.mark.parametrize(
+    "family,n,q",
+    [("C", 3, 2), ("D", 3, 2), ("B", 3, 2), ("2D", 2, 2), ("2A-odd", 2, 2), ("2A-even", 2, 2)],
+)
+def test_kernel_produces_each_subspace_once(monkeypatch, family, n, q):
+    # rows straight out of the kernel, before any sorting: a duplicate or a
+    # missing child shows up as a count off the formula
+    sp = standard_polar_space(family, n, q)
+    produced = []
+    extend_level = _pykernels.extend_level
+
+    def counted(*args):
+        raw = extend_level(*args)
+        j, d = args[2], args[3]
+        produced.append(len(raw) // ((j + 1) * d))
+        return raw
+
+    monkeypatch.setattr(_pykernels, "extend_level", counted)
+    clear_enumeration_cache()
+    isotropic_kspaces(sp, sp.n)  # one walk from the zero space
+    assert produced == [polar_count(sp, k) for k in range(1, sp.n + 1)]
+    levels = {k: isotropic_kspaces(sp, k) for k in range(sp.n + 1)}  # cached by the walk
+    for t in range(sp.n + 1):
+        for base in (levels[t][0], levels[t][-1]):
+            produced.clear()
+            list(enumerate_extensions(sp, base, sp.n))
+            assert produced == [polar_count_through(sp, t, k) for k in range(t + 1, sp.n + 1)]
 
 
 def test_extension_of_full_dimension_is_identity():
