@@ -6,7 +6,7 @@ flat lookup tables (add/mul of length p*p, neg/inv/conj of length p).
 
 from __future__ import annotations
 
-# form kind codes, as in geometry._KIND_CODES
+# form kind codes; geometry maps each form kind to one of these
 KIND_ALTERNATING = 0
 KIND_HERMITIAN = 1
 KIND_QUADRATIC = 2

@@ -230,12 +230,15 @@ def verify_local_decodability(
     ]
     gamma_l1 = sum(abs(g) for g in gammas)
 
+    # sum_U gamma_V(U) phi_V'(U), tallied over the t-subspaces V' of each U
+    totals: dict[Subspace, int] = {}
+    for u, g in zip(support, gammas):
+        if g:
+            for vprime in subspaces_within(space.field, u, t):
+                totals[vprime] = totals.get(vprime, 0) + g
     violations = []
-    for vprime in ground:
-        total = 0
-        for u, g in zip(support, gammas):
-            if g and subspace_contains(space.field, u, vprime):
-                total += g
+    for vprime in ground:  # lexicographic order
+        total = totals.get(vprime, 0)
         expected = system.m if vprime == tspace else 0
         if total != expected:
             violations.append((vprime, total))

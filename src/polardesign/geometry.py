@@ -24,7 +24,11 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 FAMILY_NAMES = ("2A-odd", "2A-even", "B", "C", "D", "2D")
 
-_KIND_CODES = {"alternating": 0, "hermitian": 1, "quadratic": 2}
+_KERNEL_KIND = {
+    "alternating": kernels.KIND_ALTERNATING,
+    "hermitian": kernels.KIND_HERMITIAN,
+    "quadratic": kernels.KIND_QUADRATIC,
+}
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,7 +43,7 @@ class FormEvaluator:
     """
 
     def __init__(self, kind: str, field: FieldTable, gram, quad=None):
-        if kind not in _KIND_CODES:
+        if kind not in _KERNEL_KIND:
             raise ValueError(f"unknown form kind {kind!r}")
         self.kind = kind
         self.field = field
@@ -118,7 +122,7 @@ class FormEvaluator:
                 else b""
             )
             conj = self.field.conj_table if self.field.has_conjugation else b""
-            self._pack = (_KIND_CODES[self.kind], gram, quad, conj)
+            self._pack = (_KERNEL_KIND[self.kind], gram, quad, conj)
         return self._pack
 
     def __eq__(self, other):
@@ -181,22 +185,37 @@ def _kernel_vectors(flat, rows, cols, field):
 
 @dataclass(frozen=True, order=True)
 class Subspace:
-    """A k-space as its unique k x d RREF matrix; rows are code tuples."""
+    """A k-space as its unique k x d RREF matrix, held as the k*d row-major
+    field codes the kernels read and write.  Ordering is lexicographic in
+    those codes, the same as on the matrix rows."""
 
     ambient: int
-    rows: tuple[tuple[int, ...], ...]
+    data: bytes
 
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    def to_bytes(self) -> bytes:
-        return bytes(x for row in self.rows for x in row)
+    @classmethod
+    def from_rows(cls, ambient: int, rows) -> "Subspace":
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != ambient for row in rows):
+            raise ValueError("ragged matrix")
+        return cls(ambient, bytes(x for row in rows for x in row))
 
     @classmethod
     def from_bytes(cls, data: bytes, k: int, d: int) -> "Subspace":
-        rows = tuple(tuple(data[i * d : (i + 1) * d]) for i in range(k))
-        return cls(ambient=d, rows=rows)
+        if len(data) != k * d:
+            raise ValueError(f"{len(data)} codes do not form a {k}x{d} matrix")
+        return cls(d, data)
+
+    @property
+    def k(self) -> int:
+        return len(self.data) // self.ambient
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        d = self.ambient
+        return tuple(tuple(self.data[i : i + d]) for i in range(0, len(self.data), d))
+
+    def to_bytes(self) -> bytes:
+        return self.data
 
     def to_lists(self):
         return [list(row) for row in self.rows]
@@ -216,7 +235,7 @@ def rref_canonicalize(field: FieldTable, rows, ambient: int | None = None) -> Su
         if any(not (0 <= x < field.order) for x in r):
             raise ValueError("entry outside field code range")
     if not rows:
-        return Subspace(ambient=ambient, rows=())
+        return Subspace(ambient, b"")
     flat = bytes(x for row in rows for x in row)
     red, rank = kernels.rref(
         flat,
@@ -356,10 +375,6 @@ def evaluate(form: FormEvaluator, u, w) -> int:
     return form.bilinear(u, w)
 
 
-def evaluate_quadratic(form: FormEvaluator, u) -> int:
-    return form.quadratic(u)
-
-
 def is_totally_isotropic(form: FormEvaluator, subspace: Subspace) -> bool:
     """True iff the form vanishes on the row space (basis checks suffice)."""
     rows = subspace.rows
@@ -425,18 +440,20 @@ def _extend_level(space, level, j, start_pivots):
 def _final_level(space, k, budget, start: Subspace | None = None):
     """Canonical bytes of every totally isotropic k-space (containing
     ``start`` if given), via level-by-level perp extension.  Full levels are
-    memoized; the budget is enforced against cached results too."""
-    if start is None and (space, k) in _LEVEL_CACHE:
-        cached = _LEVEL_CACHE[(space, k)]
-        if len(cached) > budget:
-            raise BudgetExceededError(
-                f"level {k} holds {len(cached)} subspaces, budget {budget}"
-            )
-        return cached
+    memoized, and a full walk resumes from the deepest cached level; the
+    budget is enforced against cached results too."""
     if start is None:
-        level, j0 = [b""], 0
+        cached = _LEVEL_CACHE.get((space, k))
+        if cached is not None:
+            if len(cached) > budget:
+                raise BudgetExceededError(
+                    f"level {k} holds {len(cached)} subspaces, budget {budget}"
+                )
+            return cached
+        j0 = max((j for j in range(1, k) if (space, j) in _LEVEL_CACHE), default=0)
+        level = _LEVEL_CACHE[(space, j0)] if j0 else [b""]
     else:
-        level, j0 = [start.to_bytes()], start.k
+        level, j0 = [start.data], start.k
         start_pivots = bytes(next(c for c, x in enumerate(row) if x) for row in start.rows)
     for predicted in _level_counts(space, k, j0, start):
         if predicted > budget:
@@ -489,52 +506,16 @@ def enumerate_extensions(
         yield Subspace.from_bytes(data, k, space.d)
 
 
-def _max_isotropic_dimension(space: PolarSpace, limit: int, budget: int) -> int:
-    """Largest j <= limit with a nonempty level; test hook for Witt index."""
-    level, best = [b""], 0
-    for j in range(limit):
-        kids = _extend_once(space, level, j)
-        if not kids:
-            return best
-        if len(kids) > budget:
-            raise BudgetExceededError(f"level {j + 1} holds {len(kids)} subspaces")
-        level = kids
-        best = j + 1
-    return best
-
-
 def subspace_contains(field: FieldTable, outer: Subspace, inner: Subspace) -> bool:
-    """Row space containment, decided by exact reduction against the RREF."""
-    if outer.ambient != inner.ambient:
-        raise ValueError("ambient dimension mismatch")
-    if inner.k > outer.k:
-        return False
-    d = outer.ambient
-    pivot_rows = []
-    for row in outer.rows:
-        for c in range(d):
-            if row[c]:
-                pivot_rows.append((c, row))
-                break
-    for vr in inner.rows:
-        w = list(vr)
-        for pc, row in pivot_rows:
-            fct = w[pc]
-            if fct:
-                nf = field.neg(fct)
-                for c in range(pc, d):
-                    if row[c]:
-                        w[c] = field.add(w[c], field.mul(nf, row[c]))
-        if any(w):
-            return False
-    return True
+    """Row space containment: inner <= outer iff dim(inner cap outer) = dim inner."""
+    return intersection_dimension(field, outer, inner) == inner.k
 
 
 def intersection_dimension(field: FieldTable, a: Subspace, b: Subspace) -> int:
     """dim(A cap B) = dim A + dim B - rank(stacked basis)."""
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
-    stacked = a.to_bytes() + b.to_bytes()
+    stacked = a.data + b.data
     _, rank = kernels.rref(
         stacked,
         a.k + b.k,
@@ -592,7 +573,7 @@ def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspac
         len(reps),
         t,
         k,
-        outer.to_bytes(),
+        outer.data,
         d,
         field.order,
         field.add_table,

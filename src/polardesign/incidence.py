@@ -219,7 +219,7 @@ def design_from_payload(payload) -> DesignInstance:
             raise ValueError(
                 f"block {i} must be a list of rows of {space.d} field codes below {space.p}"
             )
-        blocks.append(Subspace(ambient=space.d, rows=tuple(tuple(row) for row in rows)))
+        blocks.append(Subspace.from_rows(space.d, rows))
     return DesignInstance(
         family=family,
         q=q,

@@ -168,55 +168,61 @@ class _Dlx:
 
     def solve(self, node_budget: int, count_all: bool = False):
         """First solution (list of option ids) or, with count_all, the number
-        of exact covers.  Returns (solution|count, exhausted_flag)."""
-        solution = []
-        found: list[list[int]] = []
-        count = 0
-        budget_hit = False
+        of exact covers.  Returns (solution|count, exhausted_flag).
 
-        def recurse() -> bool:
-            nonlocal count, budget_hit
+        Depth-first with an explicit stack of (column, row) choices, so the
+        depth is bounded by memory, not by the interpreter's recursion limit."""
+        left, right, down, col, option, size = (
+            self.left,
+            self.right,
+            self.down,
+            self.col,
+            self.option,
+            self.size,
+        )
+        head = self.head
+        stack: list[tuple[int, int]] = []  # per level: (column covered, row chosen)
+        count = 0
+        while True:
             self.nodes_visited += 1
             if self.nodes_visited > node_budget:
-                budget_hit = True
-                return True
-            if self.right[self.head] == self.head:
+                return (count if count_all else None), True
+            best = -1  # the column to branch on; -1 to backtrack
+            if right[head] == head:
                 count += 1
                 if not count_all:
-                    found.append(solution[:])
-                    return True
-                return False
-            best, best_size = 0, None
-            c = self.right[self.head]
-            while c != self.head:
-                if best_size is None or self.size[c] < best_size:
-                    best, best_size = c, self.size[c]
-                c = self.right[c]
-            if best_size == 0:
-                return False
-            self._cover(best)
-            r = self.down[best]
-            while r != best:
-                solution.append(self.option[r])
-                n = self.right[r]
-                while n != r:
-                    self._cover(self.col[n])
-                    n = self.right[n]
-                if recurse():
-                    return True
-                n = self.left[r]
-                while n != r:
-                    self._uncover(self.col[n])
-                    n = self.left[n]
-                solution.pop()
-                r = self.down[r]
-            self._uncover(best)
-            return False
-
-        recurse()
-        if count_all:
-            return count, budget_hit
-        return (found[0] if found else None), budget_hit
+                    return [option[r] for _, r in stack], False
+            else:
+                best_size = None
+                c = right[head]
+                while c != head:
+                    if best_size is None or size[c] < best_size:
+                        best, best_size = c, size[c]
+                    c = right[c]
+                if best_size == 0:
+                    best = -1
+            if best >= 0:
+                self._cover(best)
+                r = down[best]
+            else:
+                # backtrack to the deepest level with another row to try
+                while stack:
+                    best, r = stack.pop()
+                    n = left[r]
+                    while n != r:
+                        self._uncover(col[n])
+                        n = left[n]
+                    r = down[r]
+                    if r != best:
+                        break
+                    self._uncover(best)
+                else:
+                    return (count if count_all else None), False
+            stack.append((best, r))
+            n = right[r]
+            while n != r:
+                self._cover(col[n])
+                n = right[n]
 
 
 def _multicover_first(n_constraints, option_cols, lam, order, node_budget):
@@ -224,52 +230,54 @@ def _multicover_first(n_constraints, option_cols, lam, order, node_budget):
 
     Branches on the least-index unsatisfied constraint; consecutive picks for
     the same constraint are forced into increasing option order, so each
-    lam-subset is tried once.  Complete and deterministic."""
+    lam-subset is tried once.  Complete and deterministic.  Depth-first with
+    an explicit stack, one frame per chosen option."""
     need = [lam] * n_constraints
     per_constraint: list[list[int]] = [[] for _ in range(n_constraints)]
     for pos, oi in enumerate(order):
         for c in option_cols[oi]:
             per_constraint[c].append(pos)
     used = [False] * len(order)
-    chosen: list[int] = []
+    picked: list[int] = []  # positions in ``order`` of the options chosen so far
+    stack = []  # per level: (constraint, least position allowed, candidates left)
     nodes = 0
-    budget_hit = False
-
-    def recurse(active: int, min_pos: int) -> bool:
-        nonlocal nodes, budget_hit
+    active = min_pos = 0
+    while True:
         nodes += 1
         if nodes > node_budget:
-            budget_hit = True
-            return True
+            return None, nodes, True
         while active < n_constraints and need[active] == 0:
-            active = active + 1
+            active += 1
             min_pos = 0
         if active == n_constraints:
-            return True
-        for pos in per_constraint[active]:
-            if pos < min_pos or used[pos]:
+            return [order[pos] for pos in picked], nodes, False
+        stack.append((active, min_pos, iter(per_constraint[active])))
+        while stack:
+            active, min_pos, candidates = stack[-1]
+            for pos in candidates:
+                if pos < min_pos or used[pos]:
+                    continue
+                cols = option_cols[order[pos]]
+                if any(need[c] == 0 for c in cols):
+                    continue
+                for c in cols:
+                    need[c] -= 1
+                used[pos] = True
+                picked.append(pos)
+                min_pos = pos + 1 if need[active] > 0 else 0
+                break
+            else:
+                # exhausted: undo the option that led here, try the next one
+                stack.pop()
+                if picked:
+                    pos = picked.pop()
+                    used[pos] = False
+                    for c in option_cols[order[pos]]:
+                        need[c] += 1
                 continue
-            oi = order[pos]
-            cols = option_cols[oi]
-            if any(need[c] == 0 for c in cols):
-                continue
-            for c in cols:
-                need[c] -= 1
-            used[pos] = True
-            chosen.append(oi)
-            still_active = need[active] > 0
-            if recurse(active, pos + 1 if still_active else 0):
-                return True
-            chosen.pop()
-            used[pos] = False
-            for c in cols:
-                need[c] += 1
-        return False
-
-    ok = recurse(0, 0)
-    if budget_hit:
-        return None, nodes, True
-    return (chosen if ok else None), nodes, False
+            break
+        else:
+            return None, nodes, False
 
 
 def find_design(problem: SearchProblem):

@@ -32,7 +32,7 @@ def naive_all_subspaces(field, d: int, k: int):
     """All k-subspaces of F_p^d as Subspace values, via RREF patterns."""
     p = field.order
     if k == 0:
-        return [Subspace(ambient=d, rows=())]
+        return [Subspace.from_rows(d, ())]
     out = []
     for pivots in combinations(range(d), k):
         pivset = set(pivots)
@@ -45,7 +45,7 @@ def naive_all_subspaces(field, d: int, k: int):
                 rows[i][pc] = 1
             for (i, c), val in zip(cells, values):
                 rows[i][c] = val
-            out.append(Subspace(ambient=d, rows=tuple(tuple(r) for r in rows)))
+            out.append(Subspace.from_rows(d, rows))
     return sorted(out)
 
 
@@ -83,13 +83,12 @@ def bruteforce_fixed_intersection_counts(field, k: int, t: int, ell: int):
     from polardesign.geometry import intersection_dimension, subspace_contains
 
     d = k + t
-    vspace = Subspace(
-        ambient=d,
-        rows=tuple(tuple(1 if c == i else 0 for c in range(d)) for i in range(t)),
+    vspace = Subspace.from_rows(
+        d, [[1 if c == i else 0 for c in range(d)] for i in range(t)]
     )
     rows = [tuple(1 if c == i else 0 for c in range(d)) for i in range(ell)]
     rows += [tuple(1 if c == t + i else 0 for c in range(d)) for i in range(t - ell)]
-    vprime = Subspace(ambient=d, rows=tuple(rows))
+    vprime = Subspace.from_rows(d, rows)
     histogram = {}
     for u in naive_all_subspaces(field, d, k):
         if subspace_contains(field, u, vprime):

@@ -233,6 +233,30 @@ def test_search_node_budget_exit_code(capsys):
     assert json.loads(out)["reason"] == "budget"
 
 
+@pytest.mark.parametrize(
+    "argv,blocks",
+    [
+        # multiplicity cover choosing 1120 blocks
+        (("--family", "B", "--q", "3", "--n", "3", "--t", "2", "--k", "3", "--lambda", "4",
+          "--node-budget", "20000"), 1120),
+        # dancing links 3280 levels deep
+        (("--family", "C", "--q", "3", "--n", "4", "--t", "1", "--k", "1", "--lambda", "1"), 3280),
+    ],
+)
+def test_deep_search_ends_at_a_design_or_its_budget(tmp_path, capsys, argv, blocks):
+    # a search deeper than the interpreter's recursion limit must not crash
+    cert = tmp_path / "design.json"
+    code, out, _ = run_cli(capsys, "search", *argv, "--output", str(cert))
+    assert code in (0, 3)
+    if code == 3:
+        assert json.loads(out)["reason"] == "budget"
+        return
+    assert len(design_from_json(out).blocks) == blocks
+    code, out, _ = run_cli(capsys, "verify-design", str(cert))
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
 def test_verify_design_rejects_mutation(tmp_path, capsys):
     cert = tmp_path / "spread.json"
     run_cli(

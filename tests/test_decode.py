@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from oracles import bruteforce_fixed_intersection_counts
+from polardesign import decode
 from polardesign.counting import gaussian_binomial, fixed_intersection_count
 from polardesign.decode import (
     build_decoding_system,
@@ -176,6 +178,37 @@ def test_local_decodability_random_pairs():
         wspace = rng.choice(list(enumerate_extensions(space, vspace, 3)))
         report = verify_local_decodability(space, 1, 2, vspace, wspace)
         assert report.ok and report.m == 6 and report.gamma_l1 == 10
+
+
+@pytest.mark.parametrize("family,n,q,t,k", [("C", 3, 2, 1, 2), ("B", 4, 2, 2, 2)])
+def test_local_decodability_reports_a_wrong_solution(monkeypatch, family, n, q, t, k):
+    # perturb one entry of f; every V' whose sum moves must be reported, in
+    # lexicographic order, with the sum a direct containment count gives
+    def perturbed(p, t, k):
+        system = build_decoding_system(p, t, k)
+        return dataclasses.replace(system, f=(system.f[0] + 1,) + system.f[1:])
+
+    monkeypatch.setattr(decode, "build_decoding_system", perturbed)
+    space = standard_polar_space(family, n, q)
+    report = verify_local_decodability(space, t, k)
+    assert not report.ok
+
+    f = perturbed(space.p, t, k).f
+    vspace, wspace = report.tspace, report.wspace
+    support = subspaces_within(space.field, wspace, k)
+    expected = []
+    for vprime in isotropic_kspaces(space, t):
+        total = sum(
+            f[intersection_dimension(space.field, u, vspace)]
+            for u in support
+            if subspace_contains(space.field, u, vprime)
+        )
+        if total != (report.m if vprime == vspace else 0):
+            expected.append((vprime, total))
+    assert len(expected) > 1
+    assert list(report.violations) == expected
+    found = [v for v, _ in report.violations]
+    assert found == sorted(found)
 
 
 def test_local_decodability_requires_room():

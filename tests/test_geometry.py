@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from polardesign.fields import make_field
 from polardesign.geometry import (
     BudgetExceededError,
     Subspace,
-    _max_isotropic_dimension,
+    _extend_once,
     clear_enumeration_cache,
     enumerate_extensions,
     enumerate_isotropic_kspaces,
@@ -154,9 +155,9 @@ def test_quadratic_value_refused_on_bilinear_kinds():
 
 def test_is_totally_isotropic_examples():
     sp = standard_polar_space("D", 2, 2)
-    assert is_totally_isotropic(sp.form, Subspace(ambient=4, rows=()))
-    good = Subspace(ambient=4, rows=((1, 0, 0, 0), (0, 0, 1, 0)))
-    bad = Subspace(ambient=4, rows=((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert is_totally_isotropic(sp.form, Subspace.from_rows(4, ()))
+    good = Subspace.from_rows(4, ((1, 0, 0, 0), (0, 0, 1, 0)))
+    bad = Subspace.from_rows(4, ((1, 0, 0, 0), (0, 1, 0, 0)))
     assert is_totally_isotropic(sp.form, good)
     assert not is_totally_isotropic(sp.form, bad)
 
@@ -243,7 +244,7 @@ def test_extension_of_full_dimension_is_identity():
 
 def test_extension_rejects_anisotropic_base():
     sp = standard_polar_space("D", 2, 2)
-    bad = Subspace(ambient=4, rows=((1, 0, 0, 0), (0, 1, 0, 0)))
+    bad = Subspace.from_rows(4, ((1, 0, 0, 0), (0, 1, 0, 0)))
     with pytest.raises(ValueError):
         list(enumerate_extensions(sp, bad, 2))
 
@@ -284,7 +285,31 @@ def test_witt_index_equals_rank():
         ("2D", 1, 3),
     ]:
         sp = standard_polar_space(family, n, q)
-        assert _max_isotropic_dimension(sp, sp.n + 1, 10**7) == sp.n
+        top = [s.to_bytes() for s in isotropic_kspaces(sp, sp.n)]
+        assert top
+        assert _extend_once(sp, top, sp.n) == []
+
+
+def test_full_walks_resume_from_the_deepest_cached_level(monkeypatch):
+    # levels 0..n asked for in turn cost n kernel calls, one per new level
+    calls = []
+    extend_level = _pykernels.extend_level
+
+    def counted(*args):
+        calls.append(args[2])
+        return extend_level(*args)
+
+    monkeypatch.setattr(_pykernels, "extend_level", counted)
+    sp = standard_polar_space("C", 3, 2)
+    clear_enumeration_cache()
+    try:
+        for k in range(sp.n + 1):
+            assert len(isotropic_kspaces(sp, k)) == polar_count(sp, k)
+        assert calls == list(range(sp.n))
+        isotropic_kspaces(sp, sp.n)
+        assert calls == list(range(sp.n))
+    finally:
+        clear_enumeration_cache()
 
 
 def test_point_counts_by_direct_vector_iteration():
@@ -395,6 +420,20 @@ def test_containment_and_intersection_against_bruteforce():
         )
 
 
+def test_containment_rejects_an_ambient_mismatch():
+    field = make_field(2)
+    line = Subspace.from_rows(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    for other in (
+        Subspace.from_rows(5, [(1, 0, 0, 0, 0)]),
+        Subspace.from_rows(5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]),
+    ):
+        with pytest.raises(ValueError):
+            subspace_contains(field, line, other)
+        with pytest.raises(ValueError):
+            subspace_contains(field, other, line)
+    assert not subspace_contains(field, Subspace.from_rows(4, [(1, 0, 0, 0)]), line)
+
+
 def test_rref_space_reps_cardinality():
     for t, m, p in [(1, 3, 2), (2, 4, 2), (2, 4, 3), (3, 5, 2), (2, 3, 4)]:
         reps = rref_space_reps(t, m, p)
@@ -418,9 +457,40 @@ def test_subspaces_within_counts_and_containment():
 
 
 def test_subspace_serialization_roundtrip():
-    sp = standard_polar_space("B", 2, 3)
-    for s in isotropic_kspaces(sp, 2)[:10]:
-        lists = s.to_lists()
-        again = Subspace(ambient=sp.d, rows=tuple(tuple(r) for r in lists))
-        assert again == s
-        assert Subspace.from_bytes(s.to_bytes(), s.k, sp.d) == s
+    # a Subspace stores its ambient dimension and canonical bytes; k, rows
+    # and the JSON lists are derived from them
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient", "data"]
+    for family, n, q in [("B", 2, 3), ("2A-odd", 2, 2)]:
+        sp = standard_polar_space(family, n, q)
+        for k in range(n + 1):
+            for s in isotropic_kspaces(sp, k):
+                assert s.k == k and len(s.rows) == k
+                assert all(len(row) == sp.d for row in s.rows)
+                assert s.to_bytes() == s.data == bytes(x for row in s.rows for x in row)
+                again = Subspace.from_rows(sp.d, s.to_lists())
+                assert again == s and hash(again) == hash(s)
+                assert Subspace.from_rows(sp.d, s.rows) == s
+                assert Subspace.from_bytes(s.to_bytes(), k, sp.d) == s
+    zero = Subspace.from_rows(5, ())
+    assert zero.k == 0 and zero.rows == () and zero.to_bytes() == b""
+    with pytest.raises(ValueError):
+        Subspace.from_rows(4, [(1, 0, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError):
+        Subspace.from_bytes(bytes(6), 2, 4)
+
+
+@pytest.mark.parametrize(
+    "family,n,q", [("B", 3, 3), ("2A-odd", 3, 2), ("C", 4, 2), ("2D", 2, 3)]
+)
+def test_subspace_order_is_row_order(family, n, q):
+    # certificates list blocks in this order, so it must stay the order of
+    # the RREF rows
+    sp = standard_polar_space(family, n, q)
+    every = []
+    for k in range(n + 1):
+        level = isotropic_kspaces(sp, k)
+        assert level == sorted(level, key=lambda s: s.rows)
+        assert sorted(level) == sorted(level, key=lambda s: s.rows)
+        every += level
+    random.Random(n).shuffle(every)
+    assert sorted(every) == sorted(every, key=lambda s: s.rows)

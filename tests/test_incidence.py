@@ -105,8 +105,8 @@ def test_verify_detects_swapped_block():
 
 def test_verify_reports_ill_formed_blocks_with_index():
     sp = standard_polar_space("D", 2, 2)
-    anisotropic = Subspace(ambient=4, rows=((1, 0, 0, 0), (0, 1, 0, 0)))
-    non_canonical = Subspace(ambient=4, rows=((1, 1, 0, 0), (0, 1, 0, 0)))
+    anisotropic = Subspace.from_rows(4, ((1, 0, 0, 0), (0, 1, 0, 0)))
+    non_canonical = Subspace.from_rows(4, ((1, 1, 0, 0), (0, 1, 0, 0)))
     instance = DesignInstance(
         family="D",
         q=2,
