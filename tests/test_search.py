@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -146,3 +147,58 @@ def test_unknown_method_rejected():
     space = standard_polar_space("C", 2, 2)
     with pytest.raises(ValueError):
         find_design(SearchProblem(space=space, t=1, k=2, lam=1, method="magic"))
+
+
+RANDOMIZED = "randomized-greedy-with-backtracking"
+
+
+@pytest.mark.parametrize(
+    "family,n,q,t,k,lam,method,seed,node_budget,expected",
+    [
+        # exact cover (lambda = 1)
+        ("2A-odd", 3, 2, 1, 3, 1, "exact-cover", 0, None, ("infeasible", 3916)),
+        ("B", 3, 3, 2, 3, 1, "exact-cover", 0, None, ("infeasible", 65)),
+        ("C", 3, 2, 1, 3, 1, "exact-cover", 0, None,
+         ("9d343258ef22658987f86910023bde3ae4e19530d4527d56fb9a22f7b8668a62", 10)),
+        ("C", 3, 2, 1, 3, 1, RANDOMIZED, 7, None,
+         ("6b53759030592fe087c4c57ede35eb8595784c6fa728bb704d9c6835487cb0bd", 10)),
+        ("C", 3, 3, 1, 2, 1, "exact-cover", 0, 3000, ("budget", 3001)),
+        # multiplicity cover (lambda > 1)
+        ("B", 3, 2, 1, 3, 2, "exact-cover", 0, None,
+         ("33ba1f3cc41e09be5ee8fcec32a5a01f6d873ebca63dfe67ef431a9a5e5df7cc", 11226)),
+        ("C", 2, 2, 1, 2, 2, RANDOMIZED, 3, None,
+         ("79fbb945bc514677c27fa1a4bfe959fe1a20b48c778db6f613cf57077566419a", 11)),
+        ("C", 2, 2, 1, 2, 4, "exact-cover", 0, None, ("infeasible", 8)),
+        ("B", 3, 3, 2, 3, 3, RANDOMIZED, 5, 2000, ("budget", 2001)),
+        ("C", 3, 2, 1, 2, 3, "exact-cover", 0, 3000, ("budget", 3001)),
+    ],
+)
+def test_search_outcomes_and_node_counts_are_pinned(
+    family, n, q, t, k, lam, method, seed, node_budget, expected
+):
+    # pins the branching order of both solvers: the outcome (failure reason or
+    # certificate digest) and the node count of each search
+    space = standard_polar_space(family, n, q)
+    result = find_design(
+        SearchProblem(
+            space=space,
+            t=t,
+            k=k,
+            lam=lam,
+            method=method,
+            seed=seed,
+            node_budget=node_budget or SearchProblem.node_budget,
+        )
+    )
+    if isinstance(result, SearchFailure):
+        assert (result.reason, result.nodes) == expected
+    else:
+        digest = hashlib.sha256(design_to_json(result).encode()).hexdigest()
+        assert (digest, result.provenance["nodes"]) == expected
+
+
+@pytest.mark.parametrize(
+    "family,n,k,expected", [("C", 2, 2, 6), ("D", 2, 2, 2), ("C", 3, 3, 960), ("D", 3, 3, 0)]
+)
+def test_count_spreads_values_are_pinned(family, n, k, expected):
+    assert count_spreads(standard_polar_space(family, n, 2), 1, k) == expected
