@@ -2,8 +2,9 @@
 stdout, diagnostics on stderr, and reproducible flags.
 
 Exit codes: 0 success/verified, 1 violation found, 2 usage error, 3 budget
-exhausted.  Counts, determinants and thresholds are serialized as decimal
-strings (they routinely exceed 64 bits); structural parameters stay numbers.
+exhausted, 4 internal error (a bug, never a verdict on the input).  Counts,
+determinants and thresholds are serialized as decimal strings (they routinely
+exceed 64 bits); structural parameters stay numbers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 from . import counting, decode, klp
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload) -> None:
@@ -345,6 +348,10 @@ def main(argv=None) -> int:
     except (DivisibilityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -1,5 +1,6 @@
-"""Explicit design search at desk scale: dancing-links exact cover for
-lambda = 1, and an exact multiplicity-lambda cover for lambda > 1.
+"""Explicit design search at desk scale: exact cover (Knuth's Algorithm X
+on bitmask rows) for lambda = 1, and an exact multiplicity-lambda cover for
+lambda > 1.
 
 Constraints are the isotropic t-spaces, options are the isotropic k-spaces,
 both in lexicographic enumeration order; given (method, seed) the search and
@@ -9,7 +10,10 @@ the emitted certificate are fully deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 from .counting import gaussian_binomial, polar_count, polar_count_through
 from .geometry import (
@@ -77,169 +81,110 @@ def cover_matrix(
     )
 
 
-class _Dlx:
-    """Knuth's dancing links over the transposed cover matrix: DLX columns
-    are t-spaces, DLX rows are candidate blocks."""
+def _exact_cover(n_constraints, options, node_budget, count_all=False):
+    """Exact cover: every constraint hit once.  ``options[pos]`` lists the
+    constraints option ``pos`` covers.  Returns (solution, nodes, budget_hit):
+    the solution is the chosen positions (None if there is none) or, with
+    count_all, the number of exact covers.
 
-    def __init__(self, n_constraints: int, options):
-        n_nodes = n_constraints + 1
-        for cols in options:
-            n_nodes += len(cols)
-        self.left = [0] * n_nodes
-        self.right = [0] * n_nodes
-        self.up = [0] * n_nodes
-        self.down = [0] * n_nodes
-        self.col = [0] * n_nodes
-        self.option = [-1] * n_nodes
-        self.size = [0] * (n_constraints + 1)
-        head = 0
-        for c in range(n_constraints + 1):
-            self.left[c] = (c - 1) % (n_constraints + 1)
-            self.right[c] = (c + 1) % (n_constraints + 1)
-            self.up[c] = c
-            self.down[c] = c
-            self.col[c] = c
-        node = n_constraints + 1
-        for oi, cols in enumerate(options):
-            first = None
-            for c in cols:
-                header = c + 1
-                self.up[node] = self.up[header]
-                self.down[node] = header
-                self.down[self.up[header]] = node
-                self.up[header] = node
-                self.col[node] = header
-                self.option[node] = oi
-                self.size[header] += 1
-                if first is None:
-                    first = node
-                    self.left[node] = node
-                    self.right[node] = node
-                else:
-                    self.left[node] = self.left[first]
-                    self.right[node] = first
-                    self.right[self.left[first]] = node
-                    self.left[first] = node
-                node += 1
-        self.head = head
-        self.nodes_visited = 0
-
-    def _cover(self, header):
-        left, right, up, down, col, size = (
-            self.left,
-            self.right,
-            self.up,
-            self.down,
-            self.col,
-            self.size,
-        )
-        right[left[header]] = right[header]
-        left[right[header]] = left[header]
-        r = down[header]
-        while r != header:
-            n = right[r]
-            while n != r:
-                down[up[n]] = down[n]
-                up[down[n]] = up[n]
-                size[col[n]] -= 1
-                n = right[n]
-            r = down[r]
-
-    def _uncover(self, header):
-        left, right, up, down, col, size = (
-            self.left,
-            self.right,
-            self.up,
-            self.down,
-            self.col,
-            self.size,
-        )
-        r = up[header]
-        while r != header:
-            n = left[r]
-            while n != r:
-                size[col[n]] += 1
-                down[up[n]] = n
-                up[down[n]] = n
-                n = left[n]
-            r = up[r]
-        right[left[header]] = header
-        left[right[header]] = header
-
-    def solve(self, node_budget: int, count_all: bool = False):
-        """First solution (list of option ids) or, with count_all, the number
-        of exact covers.  Returns (solution|count, exhausted_flag).
-
-        Depth-first with an explicit stack of (column, row) choices, so the
-        depth is bounded by memory, not by the interpreter's recursion limit."""
-        left, right, down, col, option, size = (
-            self.left,
-            self.right,
-            self.down,
-            self.col,
-            self.option,
-            self.size,
-        )
-        head = self.head
-        stack: list[tuple[int, int]] = []  # per level: (column covered, row chosen)
-        count = 0
-        while True:
-            self.nodes_visited += 1
-            if self.nodes_visited > node_budget:
-                return (count if count_all else None), True
-            best = -1  # the column to branch on; -1 to backtrack
-            if right[head] == head:
-                count += 1
-                if not count_all:
-                    return [option[r] for _, r in stack], False
+    Branches on the first live constraint with the fewest live options and
+    tries them in increasing position, as Knuth's Algorithm X (and the
+    branching order of dancing links).  Live options are one int bitmask;
+    live constraints are a doubly linked list of headers.  Depth-first with
+    an explicit stack, one frame per chosen option."""
+    head = n_constraints
+    right = list(range(1, n_constraints + 1)) + [0]
+    left = [head] + list(range(n_constraints))
+    colmask = [0] * n_constraints  # per constraint: the options covering it
+    for pos, cols in enumerate(options):
+        for c in cols:
+            colmask[c] |= 1 << pos
+    size = [mask.bit_count() for mask in colmask]  # live options per constraint
+    conflicts = []  # per option: every option sharing a constraint with it
+    for cols in options:
+        mask = 0
+        for c in cols:
+            mask |= colmask[c]
+        conflicts.append(mask)
+    live = (1 << len(options)) - 1
+    stack = []  # per level: (candidates left, live before the pick, pick, killed)
+    nodes = count = 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            return (count if count_all else None), nodes, True
+        best = -1  # the constraint to branch on; -1 to backtrack
+        if right[head] == head:
+            count += 1
+            if not count_all:
+                return [frame[2] for frame in stack], nodes, False
+        else:
+            best = c = right[head]
+            best_size = size[c]
+            while best_size:
+                c = right[c]
+                if c == head:
+                    break
+                if size[c] < best_size:
+                    best, best_size = c, size[c]
+            if not best_size:
+                best = -1
+        if best >= 0:
+            candidates = live & colmask[best]
+        else:
+            # backtrack to the deepest level with another option to try
+            while stack:
+                candidates, live, pos, killed = stack.pop()
+                for c in reversed(options[pos]):
+                    right[left[c]] = c
+                    left[right[c]] = c
+                for other in killed:
+                    for c in options[other]:
+                        size[c] += 1
+                if candidates:
+                    break
             else:
-                best_size = None
-                c = right[head]
-                while c != head:
-                    if best_size is None or size[c] < best_size:
-                        best, best_size = c, size[c]
-                    c = right[c]
-                if best_size == 0:
-                    best = -1
-            if best >= 0:
-                self._cover(best)
-                r = down[best]
-            else:
-                # backtrack to the deepest level with another row to try
-                while stack:
-                    best, r = stack.pop()
-                    n = left[r]
-                    while n != r:
-                        self._uncover(col[n])
-                        n = left[n]
-                    r = down[r]
-                    if r != best:
-                        break
-                    self._uncover(best)
-                else:
-                    return (count if count_all else None), False
-            stack.append((best, r))
-            n = right[r]
-            while n != r:
-                self._cover(col[n])
-                n = right[n]
+                return (count if count_all else None), nodes, False
+        low = candidates & -candidates
+        pos = low.bit_length() - 1
+        kill = live & conflicts[pos]
+        killed = []
+        rest = kill
+        while rest:  # highest bit first: rest shrinks as it goes
+            other = rest.bit_length() - 1
+            rest ^= 1 << other
+            killed.append(other)
+            for c in options[other]:
+                size[c] -= 1
+        for c in options[pos]:
+            right[left[c]] = right[c]
+            left[right[c]] = left[c]
+        stack.append((candidates ^ low, live, pos, killed))
+        live ^= kill
 
 
-def _multicover_first(n_constraints, option_cols, lam, order, node_budget):
+def _multicover(n_constraints, options, lam, node_budget):
     """Exact cover with multiplicity: every constraint hit exactly lam times.
+    ``options[pos]`` lists the constraints option ``pos`` covers.  Returns
+    (chosen positions or None, nodes, budget_hit).
 
     Branches on the least-index unsatisfied constraint; consecutive picks for
-    the same constraint are forced into increasing option order, so each
-    lam-subset is tried once.  Complete and deterministic.  Depth-first with
-    an explicit stack, one frame per chosen option."""
+    the same constraint are forced into increasing position, so each
+    lam-subset is tried once.  An option already chosen is never offered
+    again: it covers an earlier constraint, now saturated, or sits before the
+    least position allowed.  Complete and deterministic.  Depth-first with an
+    explicit stack, one frame per chosen option."""
     need = [lam] * n_constraints
     per_constraint: list[list[int]] = [[] for _ in range(n_constraints)]
-    for pos, oi in enumerate(order):
-        for c in option_cols[oi]:
+    for pos, cols in enumerate(options):
+        for c in cols:
             per_constraint[c].append(pos)
-    used = [False] * len(order)
-    picked: list[int] = []  # positions in ``order`` of the options chosen so far
-    stack = []  # per level: (constraint, least position allowed, candidates left)
+    # per option: the need of each of its constraints, as a tuple (itemgetter
+    # returns a bare value for one index, so a single index is repeated)
+    needs_of = [
+        itemgetter(*cols, *cols) if len(cols) == 1 else itemgetter(*cols) for cols in options
+    ]
+    stack = []  # per level: (constraint, its candidates, next index, pick)
     nodes = 0
     active = min_pos = 0
     while True:
@@ -250,41 +195,34 @@ def _multicover_first(n_constraints, option_cols, lam, order, node_budget):
             active += 1
             min_pos = 0
         if active == n_constraints:
-            return [order[pos] for pos in picked], nodes, False
-        stack.append((active, min_pos, iter(per_constraint[active])))
-        while stack:
-            active, min_pos, candidates = stack[-1]
-            for pos in candidates:
-                if pos < min_pos or used[pos]:
-                    continue
-                cols = option_cols[order[pos]]
-                if any(need[c] == 0 for c in cols):
-                    continue
-                for c in cols:
-                    need[c] -= 1
-                used[pos] = True
-                picked.append(pos)
-                min_pos = pos + 1 if need[active] > 0 else 0
-                break
+            return [frame[3] for frame in stack], nodes, False
+        candidates = per_constraint[active]
+        i = bisect_left(candidates, min_pos)
+        while True:
+            for pos in islice(candidates, i, None):
+                i += 1
+                if 0 not in needs_of[pos](need):
+                    break
             else:
                 # exhausted: undo the option that led here, try the next one
-                stack.pop()
-                if picked:
-                    pos = picked.pop()
-                    used[pos] = False
-                    for c in option_cols[order[pos]]:
-                        need[c] += 1
+                if not stack:
+                    return None, nodes, False
+                active, candidates, i, pos = stack.pop()
+                for c in options[pos]:
+                    need[c] += 1
                 continue
             break
-        else:
-            return None, nodes, False
+        for c in options[pos]:
+            need[c] -= 1
+        stack.append((active, candidates, i, pos))
+        min_pos = pos + 1 if need[active] else 0
 
 
 def find_design(problem: SearchProblem):
     """A verified DesignInstance, or SearchFailure distinguishing an exhausted
     budget from exhaustive infeasibility.
 
-    Both methods run the same exact search (DLX for lambda = 1, the
+    Both methods run the same exact search (exact cover for lambda = 1, the
     multiplicity cover otherwise).  "exact-cover" tries the k-spaces in
     lexicographic order; "randomized-greedy-with-backtracking" tries them in
     an order shuffled by ``seed``, so it is the same exhaustive search over
@@ -313,27 +251,22 @@ def find_design(problem: SearchProblem):
     if problem.method == "randomized-greedy-with-backtracking":
         random.Random(problem.seed).shuffle(order)
 
+    options = [matrix.column_rows[oi] for oi in order]
     if lam == 1:
-        options = [matrix.column_rows[oi] for oi in order]
-        dlx = _Dlx(len(matrix.tspaces), options)
-        picks, budget_hit = dlx.solve(problem.node_budget)
-        nodes = dlx.nodes_visited
-        solution = [order[i] for i in picks] if picks is not None else None
+        picks, nodes, budget_hit = _exact_cover(
+            len(matrix.tspaces), options, problem.node_budget
+        )
     else:
-        solution, nodes, budget_hit = _multicover_first(
-            len(matrix.tspaces),
-            matrix.column_rows,
-            lam,
-            order,
-            problem.node_budget,
+        picks, nodes, budget_hit = _multicover(
+            len(matrix.tspaces), options, lam, problem.node_budget
         )
 
     if budget_hit:
         return SearchFailure(reason="budget", nodes=nodes)
-    if solution is None:
+    if picks is None:
         return SearchFailure(reason="infeasible", nodes=nodes)
 
-    blocks = tuple(sorted(matrix.kspaces[i] for i in solution))
+    blocks = tuple(sorted(matrix.kspaces[order[pos]] for pos in picks))
     instance = DesignInstance(
         family=space.family,
         q=space.q,
@@ -351,7 +284,11 @@ def find_design(problem: SearchProblem):
     report = verify_design(instance, problem.enumeration_budget)
     if not report.ok:
         raise AssertionError(f"search produced an invalid design: {report}")
-    assert len(blocks) == blocks_needed
+    if len(blocks) != blocks_needed:
+        raise AssertionError(
+            f"search produced {len(blocks)} blocks; the counting identity needs "
+            f"{blocks_needed}"
+        )
     return instance
 
 
@@ -364,8 +301,9 @@ def count_spreads(
 ) -> int:
     """Number of exact covers (lambda = 1) in the search's column order."""
     matrix = cover_matrix(space, t, k, budget)
-    dlx = _Dlx(len(matrix.tspaces), list(matrix.column_rows))
-    count, budget_hit = dlx.solve(node_budget, count_all=True)
+    count, _, budget_hit = _exact_cover(
+        len(matrix.tspaces), matrix.column_rows, node_budget, count_all=True
+    )
     if budget_hit:
         raise RuntimeError("node budget exhausted while counting covers")
     return count

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from polardesign import cli
 from polardesign.cli import main
 from polardesign.counting import polar_count
 from polardesign.geometry import standard_polar_space
@@ -239,7 +240,7 @@ def test_search_node_budget_exit_code(capsys):
         # multiplicity cover choosing 1120 blocks
         (("--family", "B", "--q", "3", "--n", "3", "--t", "2", "--k", "3", "--lambda", "4",
           "--node-budget", "20000"), 1120),
-        # dancing links 3280 levels deep
+        # exact cover 3280 levels deep
         (("--family", "C", "--q", "3", "--n", "4", "--t", "1", "--k", "1", "--lambda", "1"), 3280),
     ],
 )
@@ -291,6 +292,24 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count", "--family", "Z", "--q", "2", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "count", "--family", "C", "--q", "6", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "verify-design", "/nonexistent/path.json")[0] == 2
+
+
+def test_internal_errors_exit_four_not_violation(monkeypatch, capsys):
+    # a failed self-check is a bug, not a verdict on the input, so it must not
+    # read as exit 1 ("violation found")
+    def broken_search(problem):
+        raise AssertionError("search produced an invalid design")
+
+    monkeypatch.setattr(cli, "find_design", broken_search)
+    code, out, err = run_cli(
+        capsys, "search", "--family", "C", "--q", "2", "--n", "2", "--t", "1", "--k", "2",
+        "--lambda", "1",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "internal error: AssertionError: search produced an invalid design"
+    )
 
 
 def test_diagnostics_go_to_stderr_not_stdout(capsys):

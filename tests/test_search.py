@@ -197,8 +197,6 @@ def test_search_outcomes_and_node_counts_are_pinned(
         assert (digest, result.provenance["nodes"]) == expected
 
 
-@pytest.mark.parametrize(
-    "family,n,k,expected", [("C", 2, 2, 6), ("D", 2, 2, 2), ("C", 3, 3, 960), ("D", 3, 3, 0)]
-)
+@pytest.mark.parametrize("family,n,k,expected", [("D", 2, 2, 2), ("C", 3, 3, 960), ("D", 3, 3, 0)])
 def test_count_spreads_values_are_pinned(family, n, k, expected):
     assert count_spreads(standard_polar_space(family, n, 2), 1, k) == expected

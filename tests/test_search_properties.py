@@ -1,0 +1,73 @@
+"""Property tests of the two search solvers against brute force on random
+0/1 option matrices: at most 10 options over at most 8 constraints."""
+
+from collections import Counter
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polardesign.search import _exact_cover, _multicover
+
+NO_BUDGET = 10**9
+
+
+@st.composite
+def option_matrices(draw):
+    """(n_constraints, options): each option covers a nonempty set of
+    constraints, as every k-space contains at least one t-space."""
+    n_constraints = draw(st.integers(min_value=1, max_value=8))
+    option = st.sets(st.integers(0, n_constraints - 1), min_size=1).map(sorted).map(tuple)
+    return n_constraints, draw(st.lists(option, max_size=10))
+
+
+def covers(n_constraints, options, picks, lam):
+    hits = Counter(c for pos in picks for c in options[pos])
+    return all(hits[c] == lam for c in range(n_constraints))
+
+
+def brute_force(n_constraints, options, lam):
+    """Every set of distinct options hitting each constraint exactly lam times."""
+    return [
+        picks
+        for r in range(len(options) + 1)
+        for picks in combinations(range(len(options)), r)
+        if covers(n_constraints, options, picks, lam)
+    ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(option_matrices())
+def test_exact_cover_count_matches_brute_force(matrix):
+    n_constraints, options = matrix
+    count, _, budget_hit = _exact_cover(n_constraints, options, NO_BUDGET, count_all=True)
+    assert not budget_hit
+    assert count == len(brute_force(n_constraints, options, 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(option_matrices())
+def test_exact_cover_finds_a_cover_exactly_when_one_exists(matrix):
+    n_constraints, options = matrix
+    picks, _, budget_hit = _exact_cover(n_constraints, options, NO_BUDGET)
+    assert not budget_hit
+    if brute_force(n_constraints, options, 1):
+        assert picks is not None
+        assert len(set(picks)) == len(picks)
+        assert covers(n_constraints, options, picks, 1)
+    else:
+        assert picks is None
+
+
+@settings(derandomize=True, deadline=None)
+@given(option_matrices(), st.sampled_from((2, 3)))
+def test_multicover_finds_a_design_exactly_when_one_exists(matrix, lam):
+    n_constraints, options = matrix
+    picks, _, budget_hit = _multicover(n_constraints, options, lam, NO_BUDGET)
+    assert not budget_hit
+    if brute_force(n_constraints, options, lam):
+        assert picks is not None
+        assert len(set(picks)) == len(picks)  # no block reuse
+        assert covers(n_constraints, options, picks, lam)
+    else:
+        assert picks is None
