@@ -27,8 +27,8 @@ from .geometry import (
     standard_polar_space,
 )
 from .incidence import (
-    design_from_json,
     design_to_json,
+    read_certificate,
     verify_design,
     write_certificate,
 )
@@ -302,8 +302,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify_design(args) -> int:
-    with open(args.certificate, encoding="utf-8") as handle:
-        instance = design_from_json(handle.read())
+    instance = read_certificate(args.certificate)
     report = verify_design(instance, args.budget)
     payload = {
         "verified": report.ok,

@@ -65,13 +65,7 @@ def polar_count_expr(space, k: int) -> CountExpression:
     """Factored count of totally isotropic k-spaces in a rank-n polar space."""
     if not 0 <= k <= space.n:
         raise ValueError(f"k must lie in 0..{space.n}")
-    factors = [gaussian_binomial(space.n, k, space.p)]
-    for i in range(k):
-        factors.append(power_half(space.p, 2 * (space.n - i) + space.twice_e) + 1)
-    value = 1
-    for f in factors:
-        value *= f
-    return CountExpression(value=value, factors=tuple(factors))
+    return polar_count_through_expr(space, 0, k)
 
 
 def polar_count(space, k: int) -> int:

@@ -20,11 +20,12 @@ from .geometry import (
     PolarSpace,
     Subspace,
     enumerate_extensions,
+    enumerate_isotropic_kspaces,
     intersection_dimension,
     is_totally_isotropic,
-    isotropic_kspaces,
     subspace_contains,
     subspaces_within,
+    tspace_positions,
 )
 
 
@@ -214,9 +215,9 @@ def verify_local_decodability(
     if k + t > space.n:
         raise ValueError("needs t + k <= rank")
     system = build_decoding_system(space.p, t, k)
-    ground = isotropic_kspaces(space, t, budget)
+    lex_least = next(enumerate_isotropic_kspaces(space, t, budget))  # budget before arguments
     if tspace is None:
-        tspace = ground[0]
+        tspace = lex_least
     if wspace is None:
         wspace = next(iter(enumerate_extensions(space, tspace, k + t, budget)))
     if not subspace_contains(space.field, wspace, tspace):
@@ -225,23 +226,21 @@ def verify_local_decodability(
         raise ValueError("W must be a totally isotropic (k+t)-space")
 
     support = subspaces_within(space.field, wspace, k)
-    gammas = [
-        system.f[intersection_dimension(space.field, u, tspace)] for u in support
-    ]
+    gammas = [system.f[intersection_dimension(space.field, u, tspace)] for u in support]
     gamma_l1 = sum(abs(g) for g in gammas)
 
     # sum_U gamma_V(U) phi_V'(U), tallied over the t-subspaces V' of each U
-    totals: dict[Subspace, int] = {}
-    for u, g in zip(support, gammas):
-        if g:
-            for vprime in subspaces_within(space.field, u, t):
-                totals[vprime] = totals.get(vprime, 0) + g
+    live = [(u, g) for u, g in zip(support, gammas) if g]
+    level, positions = tspace_positions(space, t, [u for u, _ in live], budget)
+    totals = [0] * len(level)
+    for (_, g), found in zip(live, positions):
+        for i in found:
+            totals[i] += g
     violations = []
-    for vprime in ground:  # lexicographic order
-        total = totals.get(vprime, 0)
-        expected = system.m if vprime == tspace else 0
+    for data, total in zip(level, totals):  # lexicographic order
+        expected = system.m if data == tspace.to_bytes() else 0
         if total != expected:
-            violations.append((vprime, total))
+            violations.append((Subspace.from_bytes(data, t, space.d), total))
 
     c4 = max(system.m, gamma_l1)
     c3_bound = 2 * 1 * c4 * polar_count(space, t)
@@ -254,7 +253,7 @@ def verify_local_decodability(
         c3_bound=c3_bound,
         tspace=tspace,
         wspace=wspace,
-        checked=len(ground),
+        checked=len(level),
         violations=tuple(violations),
         l1_formula_consistent=gamma_l1 == gamma_l1_exact(system),
         l1_coarse_bound_ok=gamma_l1 <= coarse_l1_bound,

@@ -206,11 +206,11 @@ class FieldTable:
 @lru_cache(maxsize=None)
 def make_field(p: int) -> FieldTable:
     """Build (and memoize) the arithmetic table for F_p, 2 <= p <= 32."""
+    if p > FIELD_ORDER_CAP:  # before the trial division, which is linear in p
+        raise ValueError(f"field order {p} exceeds the desk-scale cap {FIELD_ORDER_CAP}")
     split = prime_power_split(p)
     if split is None:
         raise ValueError(f"{p} is not a prime power")
-    if p > FIELD_ORDER_CAP:
-        raise ValueError(f"field order {p} exceeds the desk-scale cap {FIELD_ORDER_CAP}")
     ell, r = split
     if r == 1:
         add = bytes((a + b) % p for a in range(p) for b in range(p))

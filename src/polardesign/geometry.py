@@ -561,9 +561,9 @@ def rref_space_reps(t: int, m: int, p: int) -> tuple[bytes, ...]:
     return tuple(out)
 
 
-def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspace]:
-    """All t-subspaces of ``outer``; the products of RREF reps against an
-    RREF basis are already canonical."""
+def _tsubspace_bytes(field: FieldTable, outer: Subspace, t: int) -> list[bytes]:
+    """Canonical bytes of every t-subspace of ``outer``: the products of RREF
+    reps against an RREF basis are already canonical."""
     k, d = outer.k, outer.ambient
     reps = rref_space_reps(t, k, field.order)
     if not reps:
@@ -580,6 +580,25 @@ def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspac
         field.mul_table,
     )
     sz = t * d
-    return [
-        Subspace.from_bytes(raw[i * sz : (i + 1) * sz], t, d) for i in range(len(reps))
+    return [raw[i * sz : (i + 1) * sz] for i in range(len(reps))]
+
+
+def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspace]:
+    """All t-subspaces of ``outer``."""
+    return [Subspace.from_bytes(b, t, outer.ambient) for b in _tsubspace_bytes(field, outer, t)]
+
+
+def tspace_positions(
+    space: PolarSpace, t: int, outers, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> tuple[list[bytes], list[list[int | None]]]:
+    """The incidence of isotropic t-spaces with ``outers``: the canonical
+    bytes of level t in lexicographic order, and for each outer subspace the
+    positions in that list of its t-subspaces (None for one outside the
+    level).  Level t is read before ``outers`` is iterated."""
+    if not 0 <= t <= space.n:
+        raise ValueError(f"t must lie in 0..{space.n}")
+    level = _final_level(space, t, budget)
+    position = {data: i for i, data in enumerate(level)}.get
+    return level, [
+        [position(data) for data in _tsubspace_bytes(space.field, outer, t)] for outer in outers
     ]

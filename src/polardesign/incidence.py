@@ -16,12 +16,13 @@ from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     PolarSpace,
     Subspace,
+    enumerate_isotropic_kspaces,
     is_totally_isotropic,
     isotropic_kspaces,
     rref_canonicalize,
     standard_polar_space,
     subspace_contains,
-    subspaces_within,
+    tspace_positions,
 )
 
 
@@ -50,18 +51,15 @@ def constant_row_sum_check(
     """
     if not 0 <= t <= k <= space.n:
         raise ValueError(f"need 0 <= t <= k <= {space.n}")
-    ground = set(isotropic_kspaces(space, t, budget))
     expected = gaussian_binomial(k, t, space.p)
-    checked = 0
-    for u in isotropic_kspaces(space, k, budget):
-        subs = subspaces_within(space.field, u, t)
-        row_sum = sum(1 for s in subs if s in ground)
-        if len(set(subs)) != expected or row_sum != expected:
-            return RowSumReport(
-                ok=False, expected=expected, checked=checked, violation=(u, row_sum)
-            )
-        checked += 1
-    return RowSumReport(ok=True, expected=expected, checked=checked, violation=None)
+    kspaces = enumerate_isotropic_kspaces(space, k, budget)
+    _, positions = tspace_positions(space, t, kspaces, budget)
+    for checked, found in enumerate(positions):
+        row_sum = len(found) - found.count(None)
+        if row_sum != expected or len(set(found)) != expected:
+            violation = (isotropic_kspaces(space, k, budget)[checked], row_sum)
+            return RowSumReport(ok=False, expected=expected, checked=checked, violation=violation)
+    return RowSumReport(ok=True, expected=expected, checked=len(positions), violation=None)
 
 
 @dataclass(frozen=True)
@@ -133,16 +131,15 @@ def verify_design(
             ratio_consistent=False,
         )
 
-    ground = isotropic_kspaces(space, t, budget)
-    counts = {v: 0 for v in ground}
-    for b in instance.blocks:
-        for sub in subspaces_within(space.field, b, t):
-            counts[sub] += 1
-
+    level, positions = tspace_positions(space, t, instance.blocks, budget)
+    counts = [0] * len(level)
+    for found in positions:
+        for i in found:
+            counts[i] += 1
     violation = None
-    for v in ground:  # lexicographic order
-        if counts[v] != instance.lam:
-            violation = (v, counts[v])
+    for i, count in enumerate(counts):  # lexicographic order
+        if count != instance.lam:
+            violation = (Subspace.from_bytes(level[i], t, space.d), count)
             break
 
     ratio = lambda_ratio(space, t, k, len(instance.blocks))

@@ -21,7 +21,7 @@ from .geometry import (
     PolarSpace,
     Subspace,
     isotropic_kspaces,
-    subspaces_within,
+    tspace_positions,
 )
 from .incidence import DesignInstance, verify_design
 
@@ -55,7 +55,6 @@ class CoverMatrix:
     tspaces: tuple[Subspace, ...]
     kspaces: tuple[Subspace, ...]
     column_rows: tuple[tuple[int, ...], ...]  # per k-space: covered t-space indices
-    row_columns: tuple[tuple[int, ...], ...]  # per t-space: covering k-space indices
 
 
 def cover_matrix(
@@ -65,19 +64,11 @@ def cover_matrix(
         raise ValueError(f"need 0 <= t <= k <= {space.n}")
     tspaces = tuple(isotropic_kspaces(space, t, budget))
     kspaces = tuple(isotropic_kspaces(space, k, budget))
-    index = {v: i for i, v in enumerate(tspaces)}
-    column_rows = []
-    row_columns = [[] for _ in tspaces]
-    for ci, u in enumerate(kspaces):
-        rows = sorted(index[s] for s in subspaces_within(space.field, u, t))
-        column_rows.append(tuple(rows))
-        for ri in rows:
-            row_columns[ri].append(ci)
+    _, positions = tspace_positions(space, t, kspaces, budget)
     return CoverMatrix(
         tspaces=tspaces,
         kspaces=kspaces,
-        column_rows=tuple(column_rows),
-        row_columns=tuple(tuple(c) for c in row_columns),
+        column_rows=tuple(tuple(sorted(rows)) for rows in positions),
     )
 
 

@@ -376,3 +376,28 @@ def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload):
         design_from_json(cert.read_text())
     code, out, err = run_cli(capsys, "verify-design", str(cert))
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_field_orders_beyond_the_cap_are_rejected_before_factoring(tmp_path, capsys, monkeypatch):
+    # factoring 10^9 + 7 by trial division takes about a minute; the cap check
+    # must come first, in the library and in both CLI paths that build a field
+    from polardesign import fields
+
+    big = 1_000_000_007
+    split = fields.prime_power_split
+
+    def guarded_split(p):
+        assert p <= fields.FIELD_ORDER_CAP, f"factored {p} before checking the cap"
+        return split(p)
+
+    monkeypatch.setattr(fields, "prime_power_split", guarded_split)
+    with pytest.raises(ValueError, match="cap"):
+        fields.make_field(big)
+    code, out, err = run_cli(
+        capsys, "count", "--family", "C", "--q", str(big), "--n", "2", "--k", "1"
+    )
+    assert (code, out) == (2, "") and err.startswith("error:")
+    cert = tmp_path / "big.json"
+    cert.write_text(json.dumps({**_CERT, "q": big, "blocks": []}))
+    code, out, err = run_cli(capsys, "verify-design", str(cert))
+    assert (code, out) == (2, "") and err.startswith("error:")

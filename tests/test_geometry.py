@@ -34,6 +34,7 @@ from polardesign.geometry import (
     standard_polar_space,
     subspace_contains,
     subspaces_within,
+    tspace_positions,
 )
 
 # every family at its smallest interesting sizes; kept small enough for the
@@ -454,6 +455,40 @@ def test_subspaces_within_counts_and_containment():
                 assert subspace_contains(sp.field, u, s)
                 if s.k:  # the product of RREF bases must itself be canonical
                     assert rref_canonicalize(sp.field, s.rows, sp.d) == s
+
+
+@pytest.mark.parametrize(
+    "family,n,q",
+    [("C", 2, 2), ("D", 3, 2), ("B", 2, 2), ("2D", 2, 2), ("2A-odd", 2, 2), ("2A-even", 2, 2)],
+)
+def test_tspace_positions_match_containment(family, n, q):
+    # the products kernel matches t-subspaces to the level; the rref kernel
+    # behind subspace_contains decides the same incidence independently
+    sp = standard_polar_space(family, n, q)
+    for k in range(1, n + 1):
+        outers = isotropic_kspaces(sp, k)
+        for t in range(k):
+            tspaces = isotropic_kspaces(sp, t)
+            level, positions = tspace_positions(sp, t, outers)
+            assert level == [v.to_bytes() for v in tspaces]
+            assert len(positions) == len(outers)
+            for u, found in zip(outers, positions):
+                assert len(found) == gaussian_binomial(k, t, sp.p)
+                assert len(set(found)) == len(found)  # distinct, and no None
+                inside = {i for i, v in enumerate(tspaces) if subspace_contains(sp.field, u, v)}
+                assert set(found) == inside
+
+
+def test_tspace_positions_mark_subspaces_outside_the_level_none():
+    # every point of the ambient D_2 q=2 space: the 9 singular ones are level 1
+    sp = standard_polar_space("D", 2, 2)
+    whole = Subspace.from_rows(sp.d, [[int(i == j) for j in range(sp.d)] for i in range(sp.d)])
+    level, (found,) = tspace_positions(sp, 1, [whole])
+    assert len(found) == gaussian_binomial(sp.d, 1, sp.p) == 15
+    assert sorted(i for i in found if i is not None) == list(range(len(level))) == list(range(9))
+    assert found.count(None) == 6
+    with pytest.raises(ValueError):
+        tspace_positions(sp, 3, [whole])
 
 
 def test_subspace_serialization_roundtrip():

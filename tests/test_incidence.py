@@ -2,8 +2,14 @@ import json
 
 import pytest
 
-from polardesign.counting import polar_count_through
-from polardesign.geometry import Subspace, isotropic_kspaces, standard_polar_space
+from polardesign import geometry
+from polardesign.counting import gaussian_binomial, polar_count_through
+from polardesign.geometry import (
+    Subspace,
+    isotropic_kspaces,
+    standard_polar_space,
+    subspace_contains,
+)
 from polardesign.incidence import (
     DesignInstance,
     constant_row_sum_check,
@@ -45,6 +51,50 @@ def test_constant_row_sum_examples():
 def test_constant_row_sum_rejects_bad_range():
     with pytest.raises(ValueError):
         constant_row_sum_check(standard_polar_space("C", 2, 2), 2, 1)
+
+
+@pytest.mark.parametrize(
+    "family,n,q,t,k", [("C", 2, 2, 1, 2), ("B", 3, 2, 1, 3), ("D", 3, 2, 2, 3)]
+)
+def test_constant_row_sum_reports_a_missing_tspace(monkeypatch, family, n, q, t, k):
+    # hide one t-space from the level the check reads: the lex-least k-space
+    # through it is the first to come up one short
+    space = standard_polar_space(family, n, q)
+    tspaces = isotropic_kspaces(space, t)
+    dropped = tspaces[len(tspaces) // 2]
+    full_level = geometry._final_level
+
+    def level_without_dropped(sp, j, budget, start=None):
+        level = full_level(sp, j, budget, start)
+        if j == t and start is None:
+            return [data for data in level if data != dropped.to_bytes()]
+        return level
+
+    monkeypatch.setattr(geometry, "_final_level", level_without_dropped)
+    report = constant_row_sum_check(space, t, k)
+    kspaces = isotropic_kspaces(space, k)
+    first = min(u for u in kspaces if subspace_contains(space.field, u, dropped))
+    assert not report.ok
+    assert report.expected == gaussian_binomial(k, t, space.p)
+    assert report.violation == (first, report.expected - 1)
+    assert report.checked == kspaces.index(first) > 0
+
+
+def test_constant_row_sum_rejects_repeated_tspaces(monkeypatch):
+    # a k-space whose t-subspaces all lie in the level but repeat one is
+    # still a violation: the positions must be distinct
+    space = standard_polar_space("C", 2, 2)
+    kspaces = isotropic_kspaces(space, 2)
+    bad = kspaces[4]
+    products = geometry._tsubspace_bytes
+
+    def repeat_first(field, outer, t):
+        subs = products(field, outer, t)
+        return subs[:1] + subs[:-1] if outer == bad else subs
+
+    monkeypatch.setattr(geometry, "_tsubspace_bytes", repeat_first)
+    report = constant_row_sum_check(space, 1, 2)
+    assert not report.ok and report.checked == 4 and report.violation == (bad, 3)
 
 
 def test_verify_complete_design():

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,8 @@ def test_cover_matrix_c2():
     matrix = cover_matrix(space, 1, 2)
     assert len(matrix.tspaces) == 15 and len(matrix.kspaces) == 15
     assert all(len(rows) == 3 for rows in matrix.column_rows)
-    assert all(len(cols) == 3 for cols in matrix.row_columns)
+    covering = Counter(r for rows in matrix.column_rows for r in rows)
+    assert [covering[r] for r in range(15)] == [3] * 15
 
 
 def test_cover_matrix_c3():
@@ -29,9 +31,8 @@ def test_cover_matrix_c3():
     matrix = cover_matrix(space, 1, 3)
     assert len(matrix.tspaces) == 63 and len(matrix.kspaces) == 135
     assert all(len(rows) == gaussian_binomial(3, 1, 2) for rows in matrix.column_rows)
-    assert all(
-        len(cols) == polar_count_through(space, 1, 3) for cols in matrix.row_columns
-    )
+    covering = Counter(r for rows in matrix.column_rows for r in rows)
+    assert [covering[r] for r in range(63)] == [polar_count_through(space, 1, 3)] * 63
 
 
 def test_cover_matrix_identity_pattern_when_t_equals_k():
