@@ -24,7 +24,7 @@ from .decode import (
     gamma_value,
     verify_local_decodability,
 )
-from .fields import FieldTable, conjugate, make_field
+from .fields import FieldTable, make_field
 from .geometry import (
     BudgetExceededError,
     FormEvaluator,
@@ -32,7 +32,6 @@ from .geometry import (
     Subspace,
     enumerate_extensions,
     enumerate_isotropic_kspaces,
-    evaluate,
     is_totally_isotropic,
     isotropic_kspaces,
     rref_canonicalize,
@@ -77,7 +76,6 @@ __all__ = [
     "SearchProblem",
     "Subspace",
     "build_decoding_system",
-    "conjugate",
     "constant_row_sum_check",
     "cover_matrix",
     "design_from_json",
@@ -85,7 +83,6 @@ __all__ = [
     "determinant_bound_check",
     "enumerate_extensions",
     "enumerate_isotropic_kspaces",
-    "evaluate",
     "feasibility_report",
     "find_design",
     "gamma_value",

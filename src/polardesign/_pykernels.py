@@ -1,7 +1,8 @@
 """F_p matrix kernels: the hot loops of enumeration and subspace products.
 
-Matrices are row-major bytes of field codes; field arithmetic comes in as
-flat lookup tables (add/mul of length p*p, neg/inv/conj of length p).
+Matrices are row-major bytes of field codes.  Each kernel takes the
+``FieldTable`` and reads its flat lookup tables once at entry (add/mul of
+length p*p, neg/inv/conj of length p).
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ KIND_HERMITIAN = 1
 KIND_QUADRATIC = 2
 
 
-def rref(mat, rows, cols, p, addt, mult, negt, invt):
+def rref(mat, rows, cols, field):
     """Reduced row echelon form.  Returns (bytes, rank); zero rows trail."""
+    p, addt, mult = field.order, field.add_table, field.mul_table
+    negt, invt = field.neg_table, field.inv_table
     a = list(mat)
     rank = 0
     for col in range(cols):
@@ -61,9 +64,7 @@ def _reduce_mod(w, rows_by_pivot, d, p, addt, mult, negt):
     return w
 
 
-def extend_level(
-    mats, count, j, d, p, addt, mult, negt, invt, kind, gram, quad, conj, start_pivots
-):
+def extend_level(mats, count, j, d, field, kind, gram, quad, start_pivots):
     """One enumeration level: the isotropic (j+1)-spaces containing the
     j-spaces in ``mats``, as concatenated canonical RREF matrices, each
     produced exactly once.
@@ -75,6 +76,8 @@ def extend_level(
     start's pivots.  So a parent is extended only by vectors leading before
     its own first pivot outside the start's pivots (orderly generation:
     R. C. Read, 1978; B. D. McKay, 1998)."""
+    p, addt, mult = field.order, field.add_table, field.mul_table
+    negt, invt, conj = field.neg_table, field.inv_table, field.conj_table
     out = bytearray()
     msize = j * d
     for im in range(count):
@@ -103,7 +106,7 @@ def extend_level(
                     acc = conj[acc]
                 M[i * d + c] = acc
         if j:
-            Mb, mrank = rref(bytes(M), j, d, p, addt, mult, negt, invt)
+            Mb, mrank = rref(bytes(M), j, d, field)
         else:
             Mb, mrank = b"", 0
         pivots = []
@@ -224,9 +227,10 @@ def extend_level(
     return bytes(out)
 
 
-def products(tmats, count, t, kdim, umat, d, p, addt, mult):
+def products(tmats, count, t, kdim, umat, d, field):
     """Batch of T @ U products: ``count`` many t x kdim matrices against one
     kdim x d matrix.  RREF inputs yield RREF outputs."""
+    p, addt, mult = field.order, field.add_table, field.mul_table
     out = bytearray(count * t * d)
     for im in range(count):
         tb = im * t * kdim

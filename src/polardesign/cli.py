@@ -270,9 +270,11 @@ def _cmd_verify_decode(args) -> int:
 
 def _cmd_klp_report(args) -> int:
     space = standard_polar_space(args.family, args.n, args.q)
-    report = klp.feasibility_report(
-        space, args.t, args.k, Fraction(args.constant), Fraction(args.c_prime)
-    )
+    try:
+        constant, c_prime = Fraction(args.constant), Fraction(args.c_prime)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in a constant: {exc}") from None
+    report = klp.feasibility_report(space, args.t, args.k, constant, c_prime)
     _emit(_stringify(report))
     return EXIT_OK
 

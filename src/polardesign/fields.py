@@ -186,12 +186,10 @@ class FieldTable:
         return self.characteristic ** (self.degree // 2)
 
     def conjugate(self, a: int) -> int:
+        """The involution a -> a^q on a field of order q^2."""
         if self.conj_table is None:
             raise ValueError(f"F_{self.order} has no conjugation (non-square order)")
         return self.conj_table[a]
-
-    def elements(self):
-        return range(self.order)
 
     def __eq__(self, other):
         return isinstance(other, FieldTable) and other.order == self.order
@@ -229,11 +227,6 @@ def make_field(p: int) -> FieldTable:
         table = FieldTable(p, ell, r, modulus, bytes(add), bytes(mul))
     verify_field_axioms(table)
     return table
-
-
-def conjugate(x: int, field: FieldTable) -> int:
-    """The involution x -> x^q on a field of order q^2."""
-    return field.conjugate(x)
 
 
 def verify_field_axioms(field: FieldTable) -> None:

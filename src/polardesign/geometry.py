@@ -60,9 +60,7 @@ class FormEvaluator:
     def _validate(self):
         d, f = self.dimension, self.field
         flat = bytes(x for row in self.gram for x in row)
-        _, rank = kernels.rref(
-            flat, d, d, f.order, f.add_table, f.mul_table, f.neg_table, f.inv_table
-        )
+        _, rank = kernels.rref(flat, d, d, f)
         if self.kind in ("alternating", "hermitian"):
             if rank != d:
                 raise ValueError("degenerate bilinear form")
@@ -113,7 +111,7 @@ class FormEvaluator:
         return self.bilinear(v, v) == 0
 
     def kernel_pack(self):
-        """(kind code, gram bytes, quad bytes, conj bytes) for the kernels."""
+        """(kind code, gram bytes, quad bytes) for ``kernels.extend_level``."""
         if self._pack is None:
             gram = bytes(x for row in self.gram for x in row)
             quad = (
@@ -121,8 +119,7 @@ class FormEvaluator:
                 if self.quad is not None
                 else b""
             )
-            conj = self.field.conj_table if self.field.has_conjugation else b""
-            self._pack = (_KERNEL_KIND[self.kind], gram, quad, conj)
+            self._pack = (_KERNEL_KIND[self.kind], gram, quad)
         return self._pack
 
     def __eq__(self, other):
@@ -143,16 +140,7 @@ class FormEvaluator:
 
 def _kernel_vectors(flat, rows, cols, field):
     """All vectors in the nullspace {v : M v^T = 0}; cold path, small spaces."""
-    red, rank = kernels.rref(
-        flat,
-        rows,
-        cols,
-        field.order,
-        field.add_table,
-        field.mul_table,
-        field.neg_table,
-        field.inv_table,
-    )
+    red, rank = kernels.rref(flat, rows, cols, field)
     pivots = []
     for r in range(rank):
         for c in range(cols):
@@ -237,16 +225,7 @@ def rref_canonicalize(field: FieldTable, rows, ambient: int | None = None) -> Su
     if not rows:
         return Subspace(ambient, b"")
     flat = bytes(x for row in rows for x in row)
-    red, rank = kernels.rref(
-        flat,
-        len(rows),
-        ambient,
-        field.order,
-        field.add_table,
-        field.mul_table,
-        field.neg_table,
-        field.inv_table,
-    )
+    red, rank = kernels.rref(flat, len(rows), ambient, field)
     if rank != len(rows):
         raise ValueError(f"rank-deficient matrix: rank {rank} < {len(rows)} rows")
     return Subspace.from_bytes(red, rank, ambient)
@@ -370,11 +349,6 @@ def standard_polar_space(family: str, n: int, q: int) -> PolarSpace:
     )
 
 
-def evaluate(form: FormEvaluator, u, w) -> int:
-    """Exact form value f(u, w) (polar form for quadratic kind)."""
-    return form.bilinear(u, w)
-
-
 def is_totally_isotropic(form: FormEvaluator, subspace: Subspace) -> bool:
     """True iff the form vanishes on the row space (basis checks suffice)."""
     rows = subspace.rows
@@ -415,23 +389,9 @@ def _extend_level(space, level, j, start_pivots):
     """The isotropic (j+1)-spaces containing the j-spaces of ``level``, all
     of which contain a start subspace with pivot columns ``start_pivots``;
     the kernel produces each once, so sorting is all that is left."""
-    f = space.field
-    kind, gram, quad, conj = space.form.kernel_pack()
+    kind, gram, quad = space.form.kernel_pack()
     raw = kernels.extend_level(
-        b"".join(level),
-        len(level),
-        j,
-        space.d,
-        f.order,
-        f.add_table,
-        f.mul_table,
-        f.neg_table,
-        f.inv_table,
-        kind,
-        gram,
-        quad,
-        conj,
-        start_pivots,
+        b"".join(level), len(level), j, space.d, space.field, kind, gram, quad, start_pivots
     )
     sz = (j + 1) * space.d
     return sorted([raw[i * sz : (i + 1) * sz] for i in range(len(raw) // sz)])
@@ -516,16 +476,7 @@ def intersection_dimension(field: FieldTable, a: Subspace, b: Subspace) -> int:
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
     stacked = a.data + b.data
-    _, rank = kernels.rref(
-        stacked,
-        a.k + b.k,
-        a.ambient,
-        field.order,
-        field.add_table,
-        field.mul_table,
-        field.neg_table,
-        field.inv_table,
-    )
+    _, rank = kernels.rref(stacked, a.k + b.k, a.ambient, field)
     return a.k + b.k - rank
 
 
@@ -568,17 +519,7 @@ def _tsubspace_bytes(field: FieldTable, outer: Subspace, t: int) -> list[bytes]:
     reps = rref_space_reps(t, k, field.order)
     if not reps:
         return []
-    raw = kernels.products(
-        b"".join(reps),
-        len(reps),
-        t,
-        k,
-        outer.data,
-        d,
-        field.order,
-        field.add_table,
-        field.mul_table,
-    )
+    raw = kernels.products(b"".join(reps), len(reps), t, k, outer.data, d, field)
     sz = t * d
     return [raw[i * sz : (i + 1) * sz] for i in range(len(reps))]
 

@@ -292,6 +292,12 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count", "--family", "Z", "--q", "2", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "count", "--family", "C", "--q", "6", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "verify-design", "/nonexistent/path.json")[0] == 2
+    for flag, value in (("--constant", "1/0"), ("--c-prime", "0/0")):
+        code, out, err = run_cli(
+            capsys, "klp-report", "--family", "C", "--q", "2", "--n", "3", "--t", "1", "--k", "2",
+            flag, value,
+        )
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_internal_errors_exit_four_not_violation(monkeypatch, capsys):

@@ -1,0 +1,101 @@
+"""Property tests of the F_p kernels at every field order p <= 32 on
+matrices with at most 6 columns.  The expected values are built from
+``FieldTable.add/mul`` alone, never from the kernels: a full-rank matrix is
+drawn as an invertible mix of an RREF matrix, so its RREF is known in
+advance."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polardesign._pykernels import products, rref
+from polardesign.fields import make_field
+
+ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+@st.composite
+def rref_matrices(draw, p, k, d):
+    """A full-rank k x d RREF matrix over F_p, as a list of rows."""
+    pivots = sorted(draw(st.sets(st.integers(0, d - 1), min_size=k, max_size=k)))
+    rows = []
+    for pc in pivots:
+        row = [0] * d
+        row[pc] = 1
+        for c in range(pc + 1, d):
+            if c not in pivots:
+                row[c] = draw(st.integers(0, p - 1))
+        rows.append(row)
+    return rows
+
+
+def matmul(field, a, b):
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            for c, y in enumerate(brow):
+                acc[c] = field.add(acc[c], field.mul(x, y))
+        out.append(acc)
+    return out
+
+
+@st.composite
+def invertible_matrices(draw, field, k):
+    """P L D U with P a permutation, L and U unitriangular and D an
+    invertible diagonal: every invertible k x k matrix has this form."""
+    p = field.order
+    entry, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    perm = draw(st.permutations(range(k)))
+    lower = [[1 if c == r else draw(entry) if c < r else 0 for c in range(k)] for r in range(k)]
+    upper = [[1 if c == r else draw(entry) if c > r else 0 for c in range(k)] for r in range(k)]
+    diag = [[draw(unit) if c == r else 0 for c in range(k)] for r in range(k)]
+    mix = matmul(field, matmul(field, lower, diag), upper)
+    return [mix[perm[r]] for r in range(k)]
+
+
+def flat(rows):
+    return bytes(x for row in rows for x in row)
+
+
+def is_full_rank_rref(rows):
+    leads = [next((c for c, x in enumerate(row) if x), None) for row in rows]
+    if None in leads or leads != sorted(set(leads)):
+        return False
+    return all(row[c] == int(i == r) for r, row in enumerate(rows) for i, c in enumerate(leads))
+
+
+@pytest.mark.parametrize("p", ALL_ORDERS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_rref_is_invariant_under_row_mixing(p, data):
+    field = make_field(p)
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, d))
+    canon = data.draw(rref_matrices(p, k, d))
+    basis = matmul(field, data.draw(invertible_matrices(field, k)), canon)
+    mixed = matmul(field, data.draw(invertible_matrices(field, k)), basis)
+    for rows in (canon, basis, mixed):
+        assert rref(flat(rows), k, d, field) == (flat(canon), k)
+
+
+@pytest.mark.parametrize("p", ALL_ORDERS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_products_of_rref_reps_are_canonical_rows_inside_the_basis(p, data):
+    field = make_field(p)
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, d))
+    t = data.draw(st.integers(1, k))
+    basis = data.draw(rref_matrices(p, k, d))
+    reps = data.draw(st.lists(rref_matrices(p, t, k), min_size=1, max_size=4))
+    raw = products(b"".join(map(flat, reps)), len(reps), t, k, flat(basis), d, field)
+    assert len(raw) == len(reps) * t * d
+    pivots = [row.index(1) for row in basis]
+    for i in range(len(reps)):
+        out = [list(raw[(i * t + r) * d : (i * t + r + 1) * d]) for r in range(t)]
+        assert is_full_rank_rref(out)
+        # a vector lies in the row space of an RREF basis iff it is the
+        # combination of the basis rows given by its pivot coordinates
+        for row in out:
+            assert matmul(field, [[row[pc] for pc in pivots]], basis) == [row]
