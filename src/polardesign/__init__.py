@@ -31,7 +31,6 @@ from .geometry import (
     PolarSpace,
     Subspace,
     enumerate_extensions,
-    enumerate_isotropic_kspaces,
     is_totally_isotropic,
     isotropic_kspaces,
     rref_canonicalize,
@@ -82,7 +81,6 @@ __all__ = [
     "design_to_json",
     "determinant_bound_check",
     "enumerate_extensions",
-    "enumerate_isotropic_kspaces",
     "feasibility_report",
     "find_design",
     "gamma_value",

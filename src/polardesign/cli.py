@@ -58,6 +58,14 @@ def _stringify(value):
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """A budget or sample count: an integer, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _space_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", required=True, choices=FAMILY_NAMES)
     parser.add_argument("--q", required=True, type=int, help="base field order")
@@ -67,7 +75,7 @@ def _space_args(parser: argparse.ArgumentParser) -> None:
 def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
-        type=int,
+        type=non_negative_int,
         default=DEFAULT_ENUMERATION_BUDGET,
         help="enumeration budget (subspaces per level)",
     )
@@ -93,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vc = sub.add_parser("verify-counts", help="enumeration vs formula oracle suite")
     _space_args(p_vc)
-    p_vc.add_argument("--samples", type=int, default=10, help="random extension checks")
+    p_vc.add_argument(
+        "--samples", type=non_negative_int, default=10, help="random extension checks"
+    )
     p_vc.add_argument("--seed", type=int, default=0)
     _common_args(p_vc)
 
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--seed", type=int, default=0, help="shuffle seed of the randomized method"
     )
-    p_search.add_argument("--node-budget", type=int, default=10_000_000)
+    p_search.add_argument("--node-budget", type=non_negative_int, default=10_000_000)
     p_search.add_argument("--output", help="also write the certificate to this path")
     _common_args(p_search)
 

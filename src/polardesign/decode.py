@@ -19,8 +19,8 @@ from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     PolarSpace,
     Subspace,
+    _final_level,
     enumerate_extensions,
-    enumerate_isotropic_kspaces,
     intersection_dimension,
     is_totally_isotropic,
     subspace_contains,
@@ -215,9 +215,9 @@ def verify_local_decodability(
     if k + t > space.n:
         raise ValueError("needs t + k <= rank")
     system = build_decoding_system(space.p, t, k)
-    lex_least = next(enumerate_isotropic_kspaces(space, t, budget))  # budget before arguments
+    level = _final_level(space, t, budget)  # budget before arguments
     if tspace is None:
-        tspace = lex_least
+        tspace = Subspace.from_bytes(level[0], t, space.d)
     if wspace is None:
         wspace = next(iter(enumerate_extensions(space, tspace, k + t, budget)))
     if not subspace_contains(space.field, wspace, tspace):
@@ -231,7 +231,7 @@ def verify_local_decodability(
 
     # sum_U gamma_V(U) phi_V'(U), tallied over the t-subspaces V' of each U
     live = [(u, g) for u, g in zip(support, gammas) if g]
-    level, positions = tspace_positions(space, t, [u for u, _ in live], budget)
+    level, positions = tspace_positions(space, t, [u.data for u, _ in live], budget)
     totals = [0] * len(level)
     for (_, g), found in zip(live, positions):
         for i in found:

@@ -191,12 +191,6 @@ class FieldTable:
             raise ValueError(f"F_{self.order} has no conjugation (non-square order)")
         return self.conj_table[a]
 
-    def __eq__(self, other):
-        return isinstance(other, FieldTable) and other.order == self.order
-
-    def __hash__(self):
-        return hash(("FieldTable", self.order))
-
     def __repr__(self):
         return f"FieldTable(order={self.order})"
 

@@ -122,18 +122,6 @@ class FormEvaluator:
             self._pack = (_KERNEL_KIND[self.kind], gram, quad)
         return self._pack
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormEvaluator)
-            and other.kind == self.kind
-            and other.field == self.field
-            and other.gram == self.gram
-            and other.quad == self.quad
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.field.order, self.gram, self.quad))
-
     def __repr__(self):
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"
 
@@ -434,21 +422,14 @@ def _final_level(space, k, budget, start: Subspace | None = None):
     return level
 
 
-def enumerate_isotropic_kspaces(
+def isotropic_kspaces(
     space: PolarSpace, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[Subspace]:
+) -> list[Subspace]:
     """All totally isotropic k-spaces, each exactly once, in lexicographic
     order of their RREF matrices."""
     if not 0 <= k <= space.n:
         raise ValueError(f"k must lie in 0..{space.n}")
-    for data in _final_level(space, k, budget):
-        yield Subspace.from_bytes(data, k, space.d)
-
-
-def isotropic_kspaces(
-    space: PolarSpace, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[Subspace]:
-    return list(enumerate_isotropic_kspaces(space, k, budget))
+    return [Subspace.from_bytes(data, k, space.d) for data in _final_level(space, k, budget)]
 
 
 def enumerate_extensions(
@@ -512,34 +493,38 @@ def rref_space_reps(t: int, m: int, p: int) -> tuple[bytes, ...]:
     return tuple(out)
 
 
-def _tsubspace_bytes(field: FieldTable, outer: Subspace, t: int) -> list[bytes]:
-    """Canonical bytes of every t-subspace of ``outer``: the products of RREF
-    reps against an RREF basis are already canonical."""
-    k, d = outer.k, outer.ambient
+def _tsubspace_bytes(field: FieldTable, data: bytes, d: int, t: int) -> list[bytes]:
+    """Canonical bytes of every t-subspace of the space with canonical bytes
+    ``data``: the products of RREF reps against an RREF basis are already
+    canonical."""
+    k = len(data) // d
     reps = rref_space_reps(t, k, field.order)
     if not reps:
         return []
-    raw = kernels.products(b"".join(reps), len(reps), t, k, outer.data, d, field)
+    raw = kernels.products(b"".join(reps), len(reps), t, k, data, d, field)
     sz = t * d
     return [raw[i * sz : (i + 1) * sz] for i in range(len(reps))]
 
 
 def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspace]:
     """All t-subspaces of ``outer``."""
-    return [Subspace.from_bytes(b, t, outer.ambient) for b in _tsubspace_bytes(field, outer, t)]
+    d = outer.ambient
+    return [Subspace.from_bytes(b, t, d) for b in _tsubspace_bytes(field, outer.data, d, t)]
 
 
 def tspace_positions(
     space: PolarSpace, t: int, outers, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[list[bytes], list[list[int | None]]]:
-    """The incidence of isotropic t-spaces with ``outers``: the canonical
-    bytes of level t in lexicographic order, and for each outer subspace the
-    positions in that list of its t-subspaces (None for one outside the
-    level).  Level t is read before ``outers`` is iterated."""
+    """The incidence of isotropic t-spaces with ``outers``, the canonical
+    bytes of subspaces of the ambient space: level t as canonical bytes in
+    lexicographic order, and for each outer subspace the positions in that
+    list of its t-subspaces (None for one outside the level).  Level t is
+    read before ``outers`` is iterated."""
     if not 0 <= t <= space.n:
         raise ValueError(f"t must lie in 0..{space.n}")
     level = _final_level(space, t, budget)
     position = {data: i for i, data in enumerate(level)}.get
+    field, d = space.field, space.d
     return level, [
-        [position(data) for data in _tsubspace_bytes(space.field, outer, t)] for outer in outers
+        [position(data) for data in _tsubspace_bytes(field, outer, d, t)] for outer in outers
     ]

@@ -16,9 +16,8 @@ from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     PolarSpace,
     Subspace,
-    enumerate_isotropic_kspaces,
+    _final_level,
     is_totally_isotropic,
-    isotropic_kspaces,
     rref_canonicalize,
     standard_polar_space,
     subspace_contains,
@@ -52,12 +51,12 @@ def constant_row_sum_check(
     if not 0 <= t <= k <= space.n:
         raise ValueError(f"need 0 <= t <= k <= {space.n}")
     expected = gaussian_binomial(k, t, space.p)
-    kspaces = enumerate_isotropic_kspaces(space, k, budget)
+    kspaces = _final_level(space, k, budget)
     _, positions = tspace_positions(space, t, kspaces, budget)
     for checked, found in enumerate(positions):
         row_sum = len(found) - found.count(None)
         if row_sum != expected or len(set(found)) != expected:
-            violation = (isotropic_kspaces(space, k, budget)[checked], row_sum)
+            violation = (Subspace.from_bytes(kspaces[checked], k, space.d), row_sum)
             return RowSumReport(ok=False, expected=expected, checked=checked, violation=violation)
     return RowSumReport(ok=True, expected=expected, checked=len(positions), violation=None)
 
@@ -131,7 +130,7 @@ def verify_design(
             ratio_consistent=False,
         )
 
-    level, positions = tspace_positions(space, t, instance.blocks, budget)
+    level, positions = tspace_positions(space, t, [b.data for b in instance.blocks], budget)
     counts = [0] * len(level)
     for found in positions:
         for i in found:

@@ -20,7 +20,7 @@ from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     PolarSpace,
     Subspace,
-    isotropic_kspaces,
+    _final_level,
     tspace_positions,
 )
 from .incidence import DesignInstance, verify_design
@@ -50,10 +50,11 @@ class SearchFailure:
 
 @dataclass(frozen=True)
 class CoverMatrix:
-    """Sparse incidence of t-spaces (rows) against k-spaces (columns)."""
+    """Sparse incidence of t-spaces (rows) against k-spaces (columns); both
+    levels are canonical bytes in lexicographic order."""
 
-    tspaces: tuple[Subspace, ...]
-    kspaces: tuple[Subspace, ...]
+    tspaces: tuple[bytes, ...]
+    kspaces: tuple[bytes, ...]
     column_rows: tuple[tuple[int, ...], ...]  # per k-space: covered t-space indices
 
 
@@ -62,12 +63,11 @@ def cover_matrix(
 ) -> CoverMatrix:
     if not 0 <= t <= k <= space.n:
         raise ValueError(f"need 0 <= t <= k <= {space.n}")
-    tspaces = tuple(isotropic_kspaces(space, t, budget))
-    kspaces = tuple(isotropic_kspaces(space, k, budget))
-    _, positions = tspace_positions(space, t, kspaces, budget)
+    kspaces = _final_level(space, k, budget)
+    tspaces, positions = tspace_positions(space, t, kspaces, budget)
     return CoverMatrix(
-        tspaces=tspaces,
-        kspaces=kspaces,
+        tspaces=tuple(tspaces),
+        kspaces=tuple(kspaces),
         column_rows=tuple(tuple(sorted(rows)) for rows in positions),
     )
 
@@ -257,7 +257,10 @@ def find_design(problem: SearchProblem):
     if picks is None:
         return SearchFailure(reason="infeasible", nodes=nodes)
 
-    blocks = tuple(sorted(matrix.kspaces[order[pos]] for pos in picks))
+    blocks = tuple(
+        Subspace.from_bytes(data, k, space.d)
+        for data in sorted(matrix.kspaces[order[pos]] for pos in picks)
+    )
     instance = DesignInstance(
         family=space.family,
         q=space.q,

@@ -298,6 +298,15 @@ def test_usage_errors_exit_two(capsys):
             flag, value,
         )
         assert (code, out) == (2, "") and err.startswith("error: ")
+    space = ("--family", "C", "--q", "2", "--n", "2")
+    for argv in (
+        ("enumerate", *space, "--k", "1", "--budget", "-1"),
+        ("search", *space, "--t", "1", "--k", "2", "--lambda", "1", "--node-budget", "-5"),
+        ("verify-counts", *space, "--samples", "-3"),
+        ("verify-design", "/nonexistent/path.json", "--budget", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "must not be negative" in err
 
 
 def test_internal_errors_exit_four_not_violation(monkeypatch, capsys):

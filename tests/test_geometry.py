@@ -9,6 +9,7 @@ from oracles import (
     naive_intersection_dimension,
     naive_is_totally_isotropic,
     naive_isotropic_kspaces,
+    span_vectors,
 )
 from polardesign import _pykernels
 from polardesign.counting import (
@@ -24,7 +25,6 @@ from polardesign.geometry import (
     _extend_once,
     clear_enumeration_cache,
     enumerate_extensions,
-    enumerate_isotropic_kspaces,
     intersection_dimension,
     is_totally_isotropic,
     isotropic_kspaces,
@@ -52,6 +52,10 @@ ORACLE_INSTANCES = [
     ("2A-odd", 1, 2),
     ("2A-odd", 2, 2),
     ("2A-even", 1, 2),
+    # d = 6: three rank-3 levels (one 2-dim anisotropic tail) at q = 2
+    ("C", 3, 2),
+    ("D", 3, 2),
+    ("2D", 2, 2),
 ]
 
 
@@ -178,7 +182,7 @@ def test_enumeration_stream_properties(family, n, q):
     for k in range(sp.n + 1):
         seen = set()
         previous = None
-        for s in enumerate_isotropic_kspaces(sp, k):
+        for s in isotropic_kspaces(sp, k):
             assert is_totally_isotropic(sp.form, s)
             assert naive_is_totally_isotropic(sp, s)
             assert s not in seen
@@ -204,6 +208,22 @@ def test_extension_counts_and_sets(family, n, q):
         assert len(exts) == polar_count_through(sp, t, k)
         expected = [u for u in levels[k] if subspace_contains(sp.field, u, base)]
         assert exts == expected
+
+
+@pytest.mark.parametrize("family,n,q", ORACLE_INSTANCES)
+def test_extension_walks_match_bruteforce(family, n, q):
+    # walks from every isotropic t-space, against the brute-force level
+    # filtered by span containment (naive_contains, with each span computed
+    # once): the start-pivot path of the kernel is checked here by nothing
+    # the library computes itself
+    sp = standard_polar_space(family, n, q)
+    naive = {k: naive_isotropic_kspaces(sp, k) for k in range(sp.n + 1)}
+    span = {u: span_vectors(sp.field, u) for level in naive.values() for u in level}
+    for t in range(sp.n + 1):
+        for base in naive[t]:
+            for k in range(t, sp.n + 1):
+                expected = [u for u in naive[k] if span[base] <= span[u]]
+                assert list(enumerate_extensions(sp, base, k)) == expected
 
 
 @pytest.mark.parametrize(
@@ -468,7 +488,7 @@ def test_tspace_positions_match_containment(family, n, q):
         outers = isotropic_kspaces(sp, k)
         for t in range(k):
             tspaces = isotropic_kspaces(sp, t)
-            level, positions = tspace_positions(sp, t, outers)
+            level, positions = tspace_positions(sp, t, [u.data for u in outers])
             assert level == [v.to_bytes() for v in tspaces]
             assert len(positions) == len(outers)
             for u, found in zip(outers, positions):
@@ -482,12 +502,12 @@ def test_tspace_positions_mark_subspaces_outside_the_level_none():
     # every point of the ambient D_2 q=2 space: the 9 singular ones are level 1
     sp = standard_polar_space("D", 2, 2)
     whole = Subspace.from_rows(sp.d, [[int(i == j) for j in range(sp.d)] for i in range(sp.d)])
-    level, (found,) = tspace_positions(sp, 1, [whole])
+    level, (found,) = tspace_positions(sp, 1, [whole.data])
     assert len(found) == gaussian_binomial(sp.d, 1, sp.p) == 15
     assert sorted(i for i in found if i is not None) == list(range(len(level))) == list(range(9))
     assert found.count(None) == 6
     with pytest.raises(ValueError):
-        tspace_positions(sp, 3, [whole])
+        tspace_positions(sp, 3, [whole.data])
 
 
 def test_subspace_serialization_roundtrip():

@@ -88,9 +88,9 @@ def test_constant_row_sum_rejects_repeated_tspaces(monkeypatch):
     bad = kspaces[4]
     products = geometry._tsubspace_bytes
 
-    def repeat_first(field, outer, t):
-        subs = products(field, outer, t)
-        return subs[:1] + subs[:-1] if outer == bad else subs
+    def repeat_first(field, outer, d, t):
+        subs = products(field, outer, d, t)
+        return subs[:1] + subs[:-1] if outer == bad.data else subs
 
     monkeypatch.setattr(geometry, "_tsubspace_bytes", repeat_first)
     report = constant_row_sum_check(space, 1, 2)
