@@ -1,16 +1,12 @@
 """F_p matrix kernels: the hot loops of enumeration and subspace products.
 
 Matrices are row-major bytes of field codes.  Each kernel takes the
-``FieldTable`` and reads its flat lookup tables once at entry (add/mul of
-length p*p, neg/inv/conj of length p).
+``FieldTable`` (``extend_level`` takes the form, which carries it) and reads
+its flat lookup tables once at entry (add/mul of length p*p, neg/inv/conj of
+length p).
 """
 
 from __future__ import annotations
-
-# form kind codes; geometry maps each form kind to one of these
-KIND_ALTERNATING = 0
-KIND_HERMITIAN = 1
-KIND_QUADRATIC = 2
 
 
 def rref(mat, rows, cols, field):
@@ -64,7 +60,7 @@ def _reduce_mod(w, rows_by_pivot, d, p, addt, mult, negt):
     return w
 
 
-def extend_level(mats, count, j, d, field, kind, gram, quad, start_pivots):
+def extend_level(mats, count, j, d, form, start_pivots):
     """One enumeration level: the isotropic (j+1)-spaces containing the
     j-spaces in ``mats``, as concatenated canonical RREF matrices, each
     produced exactly once.
@@ -75,7 +71,12 @@ def extend_level(mats, count, j, d, field, kind, gram, quad, start_pivots):
     that contains the start and lacks m, T's first pivot column outside the
     start's pivots.  So a parent is extended only by vectors leading before
     its own first pivot outside the start's pivots (orderly generation:
-    R. C. Read, 1978; B. D. McKay, 1998)."""
+    R. C. Read, 1978; B. D. McKay, 1998).
+
+    ``form`` is the ``FormEvaluator`` on F_p^d; its field, its row-major
+    ``gram`` and ``quad`` bytes and its kind are read once at entry."""
+    field, gram, quad = form.field, form.gram, form.quad
+    hermitian, quadratic = form.kind == "hermitian", form.kind == "quadratic"
     p, addt, mult = field.order, field.add_table, field.mul_table
     negt, invt, conj = field.neg_table, field.inv_table, field.conj_table
     out = bytearray()
@@ -102,7 +103,7 @@ def extend_level(mats, count, j, d, field, kind, gram, quad, start_pivots):
                         gc = gram[g * d + c]
                         if gc:
                             acc = addt[acc * p + mult[sg * p + gc]]
-                if kind == KIND_HERMITIAN:
+                if hermitian:
                     acc = conj[acc]
                 M[i * d + c] = acc
         if j:
@@ -169,7 +170,7 @@ def extend_level(mats, count, j, d, field, kind, gram, quad, start_pivots):
                             if rc:
                                 v[c] = addt[v[c] * p + mult[ci * p + rc]]
 
-                if kind == KIND_HERMITIAN:
+                if hermitian:
                     acc = 0
                     for c in range(d):
                         cv = conj[v[c]]
@@ -184,7 +185,7 @@ def extend_level(mats, count, j, d, field, kind, gram, quad, start_pivots):
                             acc = addt[acc * p + mult[gv * p + cv]]
                     if acc:
                         continue
-                elif kind == KIND_QUADRATIC:
+                elif quadratic:
                     acc = 0
                     for i in range(d):
                         vi = v[i]

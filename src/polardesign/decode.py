@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import gaussian_binomial, fixed_intersection_count, polar_count
+from .fields import prime_power_split
 from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     PolarSpace,
@@ -71,8 +72,8 @@ def build_decoding_system(p: int, t: int, k: int) -> DecodingSystem:
     """Assemble D from the fixed-intersection counts and solve exactly."""
     if not 1 <= t <= k:
         raise ValueError("need 1 <= t <= k (the diagonal of D must be nonzero)")
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if prime_power_split(p) is None:
+        raise ValueError(f"{p} is not a prime power")
     size = t + 1
     matrix = tuple(
         tuple(fixed_intersection_count(p, k, t, ell, j) for j in range(size)) for ell in range(size)
@@ -106,10 +107,7 @@ def build_decoding_system(p: int, t: int, k: int) -> DecodingSystem:
     if list(det_cols) != f:
         raise AssertionError("back-substitution and column determinants disagree")
 
-    m = det
-    if det < 0:  # defensive: these entries always give det > 0
-        m = -det
-        f = [-x for x in f]
+    m = det  # each diagonal entry is a positive count, so det > 0
     return DecodingSystem(
         p=p,
         t=t,

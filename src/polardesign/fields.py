@@ -10,28 +10,17 @@ multiplicative identities, so all tables are reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 FIELD_ORDER_CAP = 32
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_power_split(p: int):
     """Return (characteristic, degree) if p is a prime power, else None."""
     if p < 2:
         return None
-    ell = min(f for f in range(2, p + 1) if p % f == 0)
-    if not _is_prime(ell):
-        return None
+    # the least factor is prime; trial division up to isqrt(p) finds it
+    ell = next((f for f in range(2, isqrt(p) + 1) if p % f == 0), p)
     m, r = p, 0
     while m % ell == 0:
         m //= ell
@@ -198,7 +187,7 @@ class FieldTable:
 @lru_cache(maxsize=None)
 def make_field(p: int) -> FieldTable:
     """Build (and memoize) the arithmetic table for F_p, 2 <= p <= 32."""
-    if p > FIELD_ORDER_CAP:  # before the trial division, which is linear in p
+    if p > FIELD_ORDER_CAP:  # before the trial division, which is sqrt(p) steps
         raise ValueError(f"field order {p} exceeds the desk-scale cap {FIELD_ORDER_CAP}")
     split = prime_power_split(p)
     if split is None:

@@ -24,49 +24,43 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 FAMILY_NAMES = ("2A-odd", "2A-even", "B", "C", "D", "2D")
 
-_KERNEL_KIND = {
-    "alternating": kernels.KIND_ALTERNATING,
-    "hermitian": kernels.KIND_HERMITIAN,
-    "quadratic": kernels.KIND_QUADRATIC,
-}
-
 
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed its budget; never silently truncated."""
 
 
 class FormEvaluator:
-    """One nondegenerate form: alternating, Hermitian or quadratic.
+    """One nondegenerate form on F_p^d: alternating, Hermitian or quadratic.
 
     ``gram`` is the bilinear (for quadratic: polar) Gram matrix; quadratic
-    forms additionally carry their upper-triangular coefficient matrix.
+    forms additionally carry their upper-triangular coefficient matrix
+    ``quad``.  Both are d x d row-major bytes of field codes, the layout the
+    kernels read.
     """
 
-    def __init__(self, kind: str, field: FieldTable, gram, quad=None):
-        if kind not in _KERNEL_KIND:
+    def __init__(self, kind: str, field: FieldTable, d: int, gram, quad=b""):
+        if kind not in ("alternating", "hermitian", "quadratic"):
             raise ValueError(f"unknown form kind {kind!r}")
-        self.kind = kind
-        self.field = field
-        self.gram = tuple(tuple(row) for row in gram)
-        self.quad = tuple(tuple(row) for row in quad) if quad is not None else None
-        self.dimension = len(self.gram)
-        if kind == "quadratic" and self.quad is None:
-            raise ValueError("quadratic form needs its coefficient matrix")
+        if len(gram) != d * d or len(quad) != (d * d if kind == "quadratic" else 0):
+            raise ValueError(f"a {kind} form on F_p^{d} needs {d}x{d} matrices")
         if kind == "hermitian" and not field.has_conjugation:
             raise ValueError("Hermitian form needs a square-order field")
-        self._pack = None
+        self.kind = kind
+        self.field = field
+        self.dimension = d
+        self.gram = bytes(gram)
+        self.quad = bytes(quad)
         self._validate()
 
     def _validate(self):
         d, f = self.dimension, self.field
-        flat = bytes(x for row in self.gram for x in row)
-        _, rank = kernels.rref(flat, d, d, f)
+        _, rank = kernels.rref(self.gram, d, d, f)
         if self.kind in ("alternating", "hermitian"):
             if rank != d:
                 raise ValueError("degenerate bilinear form")
         else:
             # char-2 quadrics may have a radical vector; it must be nonsingular
-            for vec in _kernel_vectors(flat, d, d, f):
+            for vec in _kernel_vectors(self.gram, d, d, f):
                 if any(vec) and self.quadratic(vec) == 0:
                     raise ValueError("degenerate quadratic form")
 
@@ -82,8 +76,8 @@ class FormEvaluator:
             if wc:
                 gv = 0
                 for g in range(d):
-                    if u[g] and self.gram[g][c]:
-                        gv = f.add(gv, f.mul(u[g], self.gram[g][c]))
+                    if u[g] and self.gram[g * d + c]:
+                        gv = f.add(gv, f.mul(u[g], self.gram[g * d + c]))
                 acc = f.add(acc, f.mul(gv, wc))
         return acc
 
@@ -98,7 +92,7 @@ class FormEvaluator:
         for i in range(d):
             if u[i]:
                 for c in range(i, d):
-                    q = self.quad[i][c]
+                    q = self.quad[i * d + c]
                     if q and u[c]:
                         acc = f.add(acc, f.mul(q, f.mul(u[i], u[c])))
         return acc
@@ -109,18 +103,6 @@ class FormEvaluator:
         if self.kind == "quadratic":
             return self.quadratic(v) == 0
         return self.bilinear(v, v) == 0
-
-    def kernel_pack(self):
-        """(kind code, gram bytes, quad bytes) for ``kernels.extend_level``."""
-        if self._pack is None:
-            gram = bytes(x for row in self.gram for x in row)
-            quad = (
-                bytes(x for row in self.quad for x in row)
-                if self.quad is not None
-                else b""
-            )
-            self._pack = (_KERNEL_KIND[self.kind], gram, quad)
-        return self._pack
 
     def __repr__(self):
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"
@@ -260,19 +242,6 @@ def _least_anisotropic_coeff(field: FieldTable) -> int:
     raise RuntimeError(f"no anisotropic binary form over F_{p}")
 
 
-def _zeros(d):
-    return [[0] * d for _ in range(d)]
-
-
-def _polar_gram(field, quad):
-    d = len(quad)
-    gram = _zeros(d)
-    for i in range(d):
-        for j in range(d):
-            gram[i][j] = field.add(quad[i][j], quad[j][i])
-    return gram
-
-
 @lru_cache(maxsize=None)
 def standard_polar_space(family: str, n: int, q: int) -> PolarSpace:
     """The fixed standard model of the given family, rank and base order."""
@@ -297,32 +266,28 @@ def standard_polar_space(family: str, n: int, q: int) -> PolarSpace:
     else:  # 2D
         d, twice_e, group = 2 * n + 2, 2, f"O-({2 * n + 2},{q})"
 
+    gram = bytearray(d * d)
     if hermitian:
-        gram = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        form = FormEvaluator("hermitian", field, gram)
+        gram[:: d + 1] = b"\x01" * d
+        form = FormEvaluator("hermitian", field, d, gram)
     elif family == "C":
-        gram = _zeros(d)
-        for i in range(n):
-            gram[2 * i][2 * i + 1] = 1
-            gram[2 * i + 1][2 * i] = field.neg(1)
-        form = FormEvaluator("alternating", field, gram)
+        for i in range(0, d, 2):
+            gram[i * d + i + 1] = 1
+            gram[(i + 1) * d + i] = field.neg(1)
+        form = FormEvaluator("alternating", field, d, gram)
     else:
-        quad = _zeros(d)
-        if family == "D":
-            for i in range(n):
-                quad[2 * i][2 * i + 1] = 1
-        elif family == "B":
-            quad[0][0] = 1
-            for i in range(n):
-                quad[2 * i + 1][2 * i + 2] = 1
-        else:  # 2D: n hyperbolic pairs plus an anisotropic tail
-            for i in range(n):
-                quad[2 * i][2 * i + 1] = 1
-            a = _least_anisotropic_coeff(field)
-            quad[d - 2][d - 2] = 1
-            quad[d - 2][d - 1] = 1
-            quad[d - 1][d - 1] = a
-        form = FormEvaluator("quadratic", field, _polar_gram(field, quad), quad)
+        quad = bytearray(d * d)
+        solo = int(family == "B")  # the parabolic solo square x1^2 comes first
+        quad[0] = solo
+        for i in range(solo, solo + 2 * n, 2):
+            quad[i * d + i + 1] = 1
+        if family == "2D":  # the anisotropic tail u^2 + uv + a v^2 on (x_{d-1}, x_d)
+            quad[-d - 2] = quad[-d - 1] = 1  # u^2 and uv, in row d-1
+            quad[-1] = _least_anisotropic_coeff(field)  # a v^2
+        for i in range(d):
+            for j in range(d):
+                gram[i * d + j] = field.add(quad[i * d + j], quad[j * d + i])
+        form = FormEvaluator("quadratic", field, d, gram, quad)
 
     return PolarSpace(
         family=family,
@@ -377,10 +342,7 @@ def _extend_level(space, level, j, start_pivots):
     """The isotropic (j+1)-spaces containing the j-spaces of ``level``, all
     of which contain a start subspace with pivot columns ``start_pivots``;
     the kernel produces each once, so sorting is all that is left."""
-    kind, gram, quad = space.form.kernel_pack()
-    raw = kernels.extend_level(
-        b"".join(level), len(level), j, space.d, space.field, kind, gram, quad, start_pivots
-    )
+    raw = kernels.extend_level(b"".join(level), len(level), j, space.d, space.form, start_pivots)
     sz = (j + 1) * space.d
     return sorted([raw[i * sz : (i + 1) * sz] for i in range(len(raw) // sz)])
 

@@ -291,6 +291,7 @@ def test_verify_design_rejects_mutation(tmp_path, capsys):
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count", "--family", "Z", "--q", "2", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "count", "--family", "C", "--q", "6", "--n", "2", "--k", "1")[0] == 2
+    assert run_cli(capsys, "decode", "--p", "6", "--t", "1", "--k", "2")[:2] == (2, "")
     assert run_cli(capsys, "verify-design", "/nonexistent/path.json")[0] == 2
     for flag, value in (("--constant", "1/0"), ("--c-prime", "0/0")):
         code, out, err = run_cli(
@@ -394,8 +395,8 @@ def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload):
 
 
 def test_field_orders_beyond_the_cap_are_rejected_before_factoring(tmp_path, capsys, monkeypatch):
-    # factoring 10^9 + 7 by trial division takes about a minute; the cap check
-    # must come first, in the library and in both CLI paths that build a field
+    # a field order above the cap is refused without being factored: the cap
+    # check must come first, in the library and in both CLI paths that build a field
     from polardesign import fields
 
     big = 1_000_000_007

@@ -55,6 +55,9 @@ def test_invalid_parameters():
         build_decoding_system(2, 0, 2)
     with pytest.raises(ValueError):
         build_decoding_system(1, 1, 2)
+    for p in (6, 12):  # not prime powers
+        with pytest.raises(ValueError, match="not a prime power"):
+            build_decoding_system(p, 1, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 9, 25])

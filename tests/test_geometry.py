@@ -21,6 +21,7 @@ from polardesign.counting import (
 from polardesign.fields import make_field
 from polardesign.geometry import (
     BudgetExceededError,
+    FormEvaluator,
     Subspace,
     _extend_once,
     clear_enumeration_cache,
@@ -155,6 +156,27 @@ def test_quadratic_value_refused_on_bilinear_kinds():
     sp = standard_polar_space("C", 2, 2)
     with pytest.raises(ValueError):
         sp.form.quadratic((1, 0, 0, 0))
+
+
+def test_form_evaluator_rejections():
+    f2 = make_field(2)
+    hyperbolic = bytes((0, 1, 1, 0))
+    with pytest.raises(ValueError, match="unknown form kind"):
+        FormEvaluator("symmetric", f2, 2, hyperbolic)
+    with pytest.raises(ValueError, match="2x2 matrices"):
+        FormEvaluator("alternating", f2, 2, hyperbolic[:3])
+    with pytest.raises(ValueError, match="2x2 matrices"):
+        FormEvaluator("quadratic", f2, 2, hyperbolic)  # no coefficient matrix
+    with pytest.raises(ValueError, match="square-order"):
+        FormEvaluator("hermitian", make_field(3), 2, bytes((1, 0, 0, 1)))
+    with pytest.raises(ValueError, match="degenerate bilinear form"):
+        FormEvaluator("alternating", f2, 2, bytes(4))
+    # Q = x1^2 on F_2^2: its polar form is zero and Q(e2) = 0
+    with pytest.raises(ValueError, match="degenerate quadratic form"):
+        FormEvaluator("quadratic", f2, 2, bytes(4), bytes((1, 0, 0, 0)))
+    form = FormEvaluator("quadratic", f2, 2, bytearray(hyperbolic), bytes((0, 1, 0, 0)))
+    assert (form.gram, form.quad) == (hyperbolic, bytes((0, 1, 0, 0)))
+    assert type(form.gram) is bytes
 
 
 def test_is_totally_isotropic_examples():
