@@ -15,17 +15,54 @@ from math import isqrt
 FIELD_ORDER_CAP = 32
 
 
+# Miller-Rabin with these bases decides primality of every m below the
+# bound (Sorenson and Webster 2015); a larger m that no base proves composite
+# falls back to trial division.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    for b in _WITNESSES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False  # b witnesses that m is composite
+    return m < _WITNESS_BOUND or all(m % f for f in range(43, isqrt(m) + 1, 2))
+
+
+def _iroot(m: int, r: int) -> int:
+    """floor(m^(1/r)) for m >= 1, by integer Newton iteration from above."""
+    x = 1 << -(-m.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + m // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_split(p: int):
     """Return (characteristic, degree) if p is a prime power, else None."""
     if p < 2:
         return None
-    # the least factor is prime; trial division up to isqrt(p) finds it
-    ell = next((f for f in range(2, isqrt(p) + 1) if p % f == 0), p)
-    m, r = p, 0
-    while m % ell == 0:
-        m //= ell
-        r += 1
-    return (ell, r) if m == 1 else None
+    for r in range(1, p.bit_length()):  # ell >= 2 needs ell^r <= p
+        ell = _iroot(p, r)
+        if ell**r == p and _is_prime(ell):
+            return ell, r
+    return None
 
 
 def _poly_mulmod(a, b, modulus, ell):

@@ -10,6 +10,8 @@ the emitted certificate are fully deterministic.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -80,78 +82,79 @@ def _exact_cover(n_constraints, options, node_budget, count_all=False):
 
     Branches on the first live constraint with the fewest live options and
     tries them in increasing position, as Knuth's Algorithm X (and the
-    branching order of dancing links).  Live options are one int bitmask;
-    live constraints are a doubly linked list of headers.  Depth-first with
-    an explicit stack, one frame per chosen option."""
-    head = n_constraints
-    right = list(range(1, n_constraints + 1)) + [0]
-    left = [head] + list(range(n_constraints))
+    branching order of dancing links).  Live options are one int bitmask.
+    Each constraint's live-option count is one fixed-width field of the
+    packed int ``counts`` (constraint c in bytes c*width.. of its
+    little-endian bytes), wide enough for the largest column degree; the
+    field's top bit marks a covered constraint, so a covered constraint never
+    has the fewest.  A pick kills every live option sharing a constraint with
+    it and updates ``counts`` by one big-int sum of the killed options'
+    packed 0/1 rows.  Depth-first with an explicit stack, one frame per
+    chosen option; backtracking restores the frame's counts and live."""
     colmask = [0] * n_constraints  # per constraint: the options covering it
     for pos, cols in enumerate(options):
         for c in cols:
             colmask[c] |= 1 << pos
-    size = [mask.bit_count() for mask in colmask]  # live options per constraint
-    conflicts = []  # per option: every option sharing a constraint with it
-    for cols in options:
-        mask = 0
-        for c in cols:
-            mask |= colmask[c]
-        conflicts.append(mask)
+    degrees = [mask.bit_count() for mask in colmask]
+    for typecode in "BHILQ":
+        width = array(typecode).itemsize
+        if max(degrees, default=0) < 1 << (8 * width - 1):
+            break
+    shift, covered, n_bytes = 8 * width, 1 << (8 * width - 1), n_constraints * width
+    counts = int.from_bytes(b"".join(d.to_bytes(width, "little") for d in degrees), "little")
+    rows = [0] * len(options)  # per option: its packed 0/1 row, built on first kill
     live = (1 << len(options)) - 1
-    stack = []  # per level: (candidates left, live before the pick, pick, killed)
+    stack = []  # per level: (candidates left, live and counts before the pick, pick)
     nodes = count = 0
     while True:
         nodes += 1
         if nodes > node_budget:
             return (count if count_all else None), nodes, True
-        best = -1  # the constraint to branch on; -1 to backtrack
-        if right[head] == head:
-            count += 1
-            if not count_all:
-                return [frame[2] for frame in stack], nodes, False
-        else:
-            best = c = right[head]
-            best_size = size[c]
-            while best_size:
-                c = right[c]
-                if c == head:
+        raw = counts.to_bytes(n_bytes, "little")
+        if width == 1:
+            for least in range(covered):
+                best = raw.find(least)
+                if best >= 0:
                     break
-                if size[c] < best_size:
-                    best, best_size = c, size[c]
-            if not best_size:
-                best = -1
-        if best >= 0:
+            else:
+                least = covered
+        else:
+            fields = array(typecode, raw)
+            if sys.byteorder == "big":
+                fields.byteswap()
+            least = min(fields)
+            best = fields.index(least)
+        if 0 < least < covered:
             candidates = live & colmask[best]
         else:
+            if least:  # every constraint is covered
+                count += 1
+                if not count_all:
+                    return [frame[3] for frame in stack], nodes, False
             # backtrack to the deepest level with another option to try
             while stack:
-                candidates, live, pos, killed = stack.pop()
-                for c in reversed(options[pos]):
-                    right[left[c]] = c
-                    left[right[c]] = c
-                for other in killed:
-                    for c in options[other]:
-                        size[c] += 1
+                candidates, live, counts, pos = stack.pop()
                 if candidates:
                     break
             else:
                 return (count if count_all else None), nodes, False
         low = candidates & -candidates
         pos = low.bit_length() - 1
-        kill = live & conflicts[pos]
-        killed = []
-        rest = kill
-        while rest:  # highest bit first: rest shrinks as it goes
-            other = rest.bit_length() - 1
-            rest ^= 1 << other
-            killed.append(other)
-            for c in options[other]:
-                size[c] -= 1
+        stack.append((candidates ^ low, live, counts, pos))
+        kill = 0
         for c in options[pos]:
-            right[left[c]] = right[c]
-            left[right[c]] = left[c]
-        stack.append((candidates ^ low, live, pos, killed))
+            kill |= colmask[c]
+        kill &= live
         live ^= kill
+        killed = 0
+        while kill:  # highest bit first: kill shrinks as it goes
+            other = kill.bit_length() - 1
+            kill ^= 1 << other
+            row = rows[other]
+            if not row:
+                row = rows[other] = sum(1 << shift * c for c in options[other])
+            killed += row
+        counts += covered * rows[pos] - killed
 
 
 def _multicover(n_constraints, options, lam, node_budget):

@@ -104,3 +104,89 @@ def naive_intersection_dimension(field, a: Subspace, b: Subspace) -> int:
         dim += 1
     assert field.order**dim == common
     return dim
+
+
+# The dancing-links-order exact cover that search._exact_cover replaced
+# (linked list of constraint headers, per-constraint live-option sizes,
+# precomputed option conflicts), kept verbatim as a differential oracle for
+# its results and node counts.
+def reference_exact_cover(n_constraints, options, node_budget, count_all=False):
+    """Exact cover: every constraint hit once.  ``options[pos]`` lists the
+    constraints option ``pos`` covers.  Returns (solution, nodes, budget_hit):
+    the solution is the chosen positions (None if there is none) or, with
+    count_all, the number of exact covers.
+
+    Branches on the first live constraint with the fewest live options and
+    tries them in increasing position, as Knuth's Algorithm X (and the
+    branching order of dancing links).  Live options are one int bitmask;
+    live constraints are a doubly linked list of headers.  Depth-first with
+    an explicit stack, one frame per chosen option."""
+    head = n_constraints
+    right = list(range(1, n_constraints + 1)) + [0]
+    left = [head] + list(range(n_constraints))
+    colmask = [0] * n_constraints  # per constraint: the options covering it
+    for pos, cols in enumerate(options):
+        for c in cols:
+            colmask[c] |= 1 << pos
+    size = [mask.bit_count() for mask in colmask]  # live options per constraint
+    conflicts = []  # per option: every option sharing a constraint with it
+    for cols in options:
+        mask = 0
+        for c in cols:
+            mask |= colmask[c]
+        conflicts.append(mask)
+    live = (1 << len(options)) - 1
+    stack = []  # per level: (candidates left, live before the pick, pick, killed)
+    nodes = count = 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            return (count if count_all else None), nodes, True
+        best = -1  # the constraint to branch on; -1 to backtrack
+        if right[head] == head:
+            count += 1
+            if not count_all:
+                return [frame[2] for frame in stack], nodes, False
+        else:
+            best = c = right[head]
+            best_size = size[c]
+            while best_size:
+                c = right[c]
+                if c == head:
+                    break
+                if size[c] < best_size:
+                    best, best_size = c, size[c]
+            if not best_size:
+                best = -1
+        if best >= 0:
+            candidates = live & colmask[best]
+        else:
+            # backtrack to the deepest level with another option to try
+            while stack:
+                candidates, live, pos, killed = stack.pop()
+                for c in reversed(options[pos]):
+                    right[left[c]] = c
+                    left[right[c]] = c
+                for other in killed:
+                    for c in options[other]:
+                        size[c] += 1
+                if candidates:
+                    break
+            else:
+                return (count if count_all else None), nodes, False
+        low = candidates & -candidates
+        pos = low.bit_length() - 1
+        kill = live & conflicts[pos]
+        killed = []
+        rest = kill
+        while rest:  # highest bit first: rest shrinks as it goes
+            other = rest.bit_length() - 1
+            rest ^= 1 << other
+            killed.append(other)
+            for c in options[other]:
+                size[c] -= 1
+        for c in options[pos]:
+            right[left[c]] = right[c]
+            left[right[c]] = left[c]
+        stack.append((candidates ^ low, live, pos, killed))
+        live ^= kill

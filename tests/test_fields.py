@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from polardesign.fields import (
@@ -17,6 +19,33 @@ def test_prime_power_split():
     assert prime_power_split(6) is None
     assert prime_power_split(12) is None
     assert prime_power_split(1) is None
+
+
+def _split_by_trial_division(p):
+    if p < 2:
+        return None
+    ell = next((f for f in range(2, isqrt(p) + 1) if p % f == 0), p)
+    m, r = p, 0
+    while m % ell == 0:
+        m //= ell
+        r += 1
+    return (ell, r) if m == 1 else None
+
+
+def test_prime_power_split_agrees_with_trial_division():
+    mismatches = [p for p in range(200_000) if prime_power_split(p) != _split_by_trial_division(p)]
+    assert mismatches == []
+
+
+def test_prime_power_split_on_large_orders():
+    # 399165290221 * 798330580441 is a strong pseudoprime to every prime base
+    # up to 37; the base 41 proves it composite
+    assert prime_power_split(318665857834031151167461) is None
+    big = 100000000000000000039
+    assert prime_power_split(big) == (big, 1)
+    assert prime_power_split(big**2) == (big, 2)
+    assert prime_power_split(3**40) == (3, 40)
+    assert prime_power_split(big * 3) is None
 
 
 @pytest.mark.parametrize("p", ALL_ORDERS)

@@ -164,6 +164,11 @@ RANDOMIZED = "randomized-greedy-with-backtracking"
         ("C", 3, 2, 1, 3, 1, RANDOMIZED, 7, None,
          ("6b53759030592fe087c4c57ede35eb8595784c6fa728bb704d9c6835487cb0bd", 10)),
         ("C", 3, 3, 1, 2, 1, "exact-cover", 0, 3000, ("budget", 3001)),
+        # 135 options per constraint: two-byte live-option counts
+        ("C", 4, 2, 1, 4, 1, "exact-cover", 0, None,
+         ("8241e8849f6861128eff0ea586fe36b7b2dc969dd38c8566a946c7d718e23de4", 20)),
+        ("C", 4, 2, 1, 4, 1, RANDOMIZED, 1, None,
+         ("398f86d6cb526f4a42caa5503b2b819f51534eeab12261a4b1ca0bf9cf4bf120", 20)),
         # multiplicity cover (lambda > 1)
         ("B", 3, 2, 1, 3, 2, "exact-cover", 0, None,
          ("33ba1f3cc41e09be5ee8fcec32a5a01f6d873ebca63dfe67ef431a9a5e5df7cc", 11226)),

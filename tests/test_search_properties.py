@@ -1,11 +1,14 @@
 """Property tests of the two search solvers against brute force on random
-0/1 option matrices: at most 10 options over at most 8 constraints."""
+0/1 option matrices (at most 10 options over at most 8 constraints), and of
+the exact cover against the reference solver in tests/oracles.py, also on
+matrices where one constraint has 128 to 300 options."""
 
 from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_exact_cover
 
 from polardesign.search import _exact_cover, _multicover
 
@@ -19,6 +22,24 @@ def option_matrices(draw):
     n_constraints = draw(st.integers(min_value=1, max_value=8))
     option = st.sets(st.integers(0, n_constraints - 1), min_size=1).map(sorted).map(tuple)
     return n_constraints, draw(st.lists(option, max_size=10))
+
+
+@st.composite
+def wide_option_matrices(draw):
+    """(n_constraints, options) where constraint 0 has 128 to 300 options, too
+    many for a one-byte live-option count; a few options miss constraint 0."""
+    n_constraints = draw(st.integers(min_value=2, max_value=8))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from((0.1, 0.3, 0.6)))
+    hub = draw(st.integers(min_value=128, max_value=300))
+    options = [
+        (0, *(c for c in range(1, n_constraints) if rnd.random() < density)) for _ in range(hub)
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        cols = [c for c in range(1, n_constraints) if rnd.random() < density]
+        options.append(tuple(cols or [rnd.randrange(1, n_constraints)]))
+    rnd.shuffle(options)
+    return n_constraints, options
 
 
 def covers(n_constraints, options, picks, lam):
@@ -71,3 +92,17 @@ def test_multicover_finds_a_design_exactly_when_one_exists(matrix, lam):
         assert covers(n_constraints, options, picks, lam)
     else:
         assert picks is None
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.one_of(option_matrices(), wide_option_matrices()),
+    st.integers(min_value=1, max_value=400),
+    st.booleans(),
+)
+def test_exact_cover_matches_the_reference_solver(matrix, node_budget, count_all):
+    # same solution or count, same node count, same budget verdict
+    n_constraints, options = matrix
+    assert _exact_cover(n_constraints, options, node_budget, count_all) == (
+        reference_exact_cover(n_constraints, options, node_budget, count_all)
+    )
