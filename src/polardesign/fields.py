@@ -10,14 +10,13 @@ multiplicative identities, so all tables are reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 FIELD_ORDER_CAP = 32
 
 
 # Miller-Rabin with these bases decides primality of every m below the
 # bound (Sorenson and Webster 2015); a larger m that no base proves composite
-# falls back to trial division.
+# is left undecided.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
@@ -41,7 +40,9 @@ def _is_prime(m: int) -> bool:
                 break
         else:
             return False  # b witnesses that m is composite
-    return m < _WITNESS_BOUND or all(m % f for f in range(43, isqrt(m) + 1, 2))
+    if m >= _WITNESS_BOUND:
+        raise ValueError(f"Miller-Rabin proves primality only below {_WITNESS_BOUND}, not for {m}")
+    return True
 
 
 def _iroot(m: int, r: int) -> int:
@@ -55,7 +56,9 @@ def _iroot(m: int, r: int) -> int:
 
 
 def prime_power_split(p: int):
-    """Return (characteristic, degree) if p is a prime power, else None."""
+    """Return (characteristic, degree) if p is a prime power, else None.
+    Raises ValueError when an integer root of p at or above the Miller-Rabin
+    bound passes every base, since its primality is then undecided."""
     if p < 2:
         return None
     for r in range(1, p.bit_length()):  # ell >= 2 needs ell^r <= p

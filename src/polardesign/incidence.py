@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .counting import gaussian_binomial, lambda_ratio
+from .counting import gaussian_binomial, lambda_ratio, polar_count
 from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     PolarSpace,
@@ -92,7 +92,9 @@ def verify_design(
 ) -> VerifyReport:
     """Certify the claimed lambda by counting, for every isotropic t-space,
     the blocks containing it.  Reports the lexicographically least failing
-    t-space, ill-formed blocks by index, and the lambda_ratio cross-check."""
+    t-space, ill-formed blocks by index, and the lambda_ratio cross-check.
+    Raises AssertionError when the enumerated level t is not the
+    closed-form count of t-spaces or misses a t-subspace of a block."""
     space = instance.space()
     t, k = instance.t, instance.k
     errors: list[tuple[int, str]] = []
@@ -131,6 +133,8 @@ def verify_design(
         )
 
     level, positions = tspace_positions(space, t, [b.data for b in instance.blocks], budget)
+    if len(level) != polar_count(space, t) or any(None in found for found in positions):
+        raise AssertionError(f"the enumerated level {t} is not every isotropic {t}-space")
     counts = [0] * len(level)
     for found in positions:
         for i in found:

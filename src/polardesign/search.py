@@ -1,6 +1,6 @@
-"""Explicit design search at desk scale: exact cover (Knuth's Algorithm X
-on bitmask rows) for lambda = 1, and an exact multiplicity-lambda cover for
-lambda > 1.
+"""Explicit design search at desk scale on bitmasks of options: the exact
+cover (Knuth's Algorithm X) for lambda = 1 and the exact multiplicity-lambda
+cover for lambda > 1 share per-constraint option masks and one live mask.
 
 Constraints are the isotropic t-spaces, options are the isotropic k-spaces,
 both in lexicographic enumeration order; given (method, seed) the search and
@@ -12,10 +12,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
 
 from .counting import gaussian_binomial, polar_count, polar_count_through
 from .geometry import (
@@ -74,6 +71,15 @@ def cover_matrix(
     )
 
 
+def _column_masks(n_constraints, options):
+    """Per constraint: the bitmask of the option positions covering it."""
+    colmask = [0] * n_constraints
+    for pos, cols in enumerate(options):
+        for c in cols:
+            colmask[c] |= 1 << pos
+    return colmask
+
+
 def _exact_cover(n_constraints, options, node_budget, count_all=False):
     """Exact cover: every constraint hit once.  ``options[pos]`` lists the
     constraints option ``pos`` covers.  Returns (solution, nodes, budget_hit):
@@ -91,16 +97,13 @@ def _exact_cover(n_constraints, options, node_budget, count_all=False):
     it and updates ``counts`` by one big-int sum of the killed options'
     packed 0/1 rows.  Depth-first with an explicit stack, one frame per
     chosen option; backtracking restores the frame's counts and live."""
-    colmask = [0] * n_constraints  # per constraint: the options covering it
-    for pos, cols in enumerate(options):
-        for c in cols:
-            colmask[c] |= 1 << pos
+    colmask = _column_masks(n_constraints, options)
     degrees = [mask.bit_count() for mask in colmask]
     for typecode in "BHILQ":
         width = array(typecode).itemsize
         if max(degrees, default=0) < 1 << (8 * width - 1):
             break
-    shift, covered, n_bytes = 8 * width, 1 << (8 * width - 1), n_constraints * width
+    covered, n_bytes = 1 << (8 * width - 1), n_constraints * width
     counts = int.from_bytes(b"".join(d.to_bytes(width, "little") for d in degrees), "little")
     rows = [0] * len(options)  # per option: its packed 0/1 row, built on first kill
     live = (1 << len(options)) - 1
@@ -152,7 +155,10 @@ def _exact_cover(n_constraints, options, node_budget, count_all=False):
             kill ^= 1 << other
             row = rows[other]
             if not row:
-                row = rows[other] = sum(1 << shift * c for c in options[other])
+                packed = bytearray(n_bytes)
+                for c in options[other]:
+                    packed[c * width] = 1
+                row = rows[other] = int.from_bytes(packed, "little")
             killed += row
         counts += covered * rows[pos] - killed
 
@@ -162,54 +168,44 @@ def _multicover(n_constraints, options, lam, node_budget):
     ``options[pos]`` lists the constraints option ``pos`` covers.  Returns
     (chosen positions or None, nodes, budget_hit).
 
-    Branches on the least-index unsatisfied constraint; consecutive picks for
-    the same constraint are forced into increasing position, so each
-    lam-subset is tried once.  An option already chosen is never offered
-    again: it covers an earlier constraint, now saturated, or sits before the
-    least position allowed.  Complete and deterministic.  Depth-first with an
-    explicit stack, one frame per chosen option."""
+    Branches on the least-index unsatisfied constraint and tries its live
+    options in increasing position.  Live options are one int bitmask, as in
+    ``_exact_cover``; ``need`` holds each constraint's remaining hits.  A pick
+    kills itself, the candidates of its constraint at lower positions, and
+    every live option through a constraint whose need reaches 0, so
+    consecutive picks for one constraint go in increasing position, each
+    lam-subset is tried once and no option is chosen twice.  Complete and
+    deterministic.  Depth-first with an explicit stack, one frame per chosen
+    option; backtracking restores the frame's live and the needs."""
+    colmask = _column_masks(n_constraints, options)
     need = [lam] * n_constraints
-    per_constraint: list[list[int]] = [[] for _ in range(n_constraints)]
-    for pos, cols in enumerate(options):
-        for c in cols:
-            per_constraint[c].append(pos)
-    # per option: the need of each of its constraints, as a tuple (itemgetter
-    # returns a bare value for one index, so a single index is repeated)
-    needs_of = [
-        itemgetter(*cols, *cols) if len(cols) == 1 else itemgetter(*cols) for cols in options
-    ]
-    stack = []  # per level: (constraint, its candidates, next index, pick)
-    nodes = 0
-    active = min_pos = 0
+    live = (1 << len(options)) - 1
+    stack = []  # per level: (constraint, candidates left, live before the pick, pick)
+    nodes = active = 0
     while True:
         nodes += 1
         if nodes > node_budget:
             return None, nodes, True
         while active < n_constraints and need[active] == 0:
             active += 1
-            min_pos = 0
         if active == n_constraints:
             return [frame[3] for frame in stack], nodes, False
-        candidates = per_constraint[active]
-        i = bisect_left(candidates, min_pos)
-        while True:
-            for pos in islice(candidates, i, None):
-                i += 1
-                if 0 not in needs_of[pos](need):
-                    break
-            else:
-                # exhausted: undo the option that led here, try the next one
-                if not stack:
-                    return None, nodes, False
-                active, candidates, i, pos = stack.pop()
-                for c in options[pos]:
-                    need[c] += 1
-                continue
-            break
+        candidates = live & colmask[active]
+        while not candidates:
+            # exhausted: undo the option that led here, try the next one
+            if not stack:
+                return None, nodes, False
+            active, candidates, live, pos = stack.pop()
+            for c in options[pos]:
+                need[c] += 1
+        low = candidates & -candidates
+        pos = low.bit_length() - 1
+        stack.append((active, candidates ^ low, live, pos))
+        live &= ~(colmask[active] & ((low << 1) - 1))
         for c in options[pos]:
             need[c] -= 1
-        stack.append((active, candidates, i, pos))
-        min_pos = pos + 1 if need[active] else 0
+            if not need[c]:
+                live &= ~colmask[c]
 
 
 def find_design(problem: SearchProblem):
@@ -278,14 +274,10 @@ def find_design(problem: SearchProblem):
             "nodes": nodes,
         },
     )
+    # report.ok includes lambda_ratio's check, which holds only for blocks_needed blocks
     report = verify_design(instance, problem.enumeration_budget)
     if not report.ok:
         raise AssertionError(f"search produced an invalid design: {report}")
-    if len(blocks) != blocks_needed:
-        raise AssertionError(
-            f"search produced {len(blocks)} blocks; the counting identity needs "
-            f"{blocks_needed}"
-        )
     return instance
 
 

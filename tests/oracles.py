@@ -4,7 +4,9 @@ isotropy is checked on every vector pair of the full span."""
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from bisect import bisect_left
+from itertools import combinations, islice, product
+from operator import itemgetter
 
 from polardesign.geometry import Subspace
 
@@ -190,3 +192,61 @@ def reference_exact_cover(n_constraints, options, node_budget, count_all=False):
             left[right[c]] = left[c]
         stack.append((candidates ^ low, live, pos, killed))
         live ^= kill
+
+
+# The multiplicity cover that search._multicover replaced (per-constraint
+# position lists, need tuples read through itemgetter), kept verbatim as a
+# differential oracle for its results and node counts.
+def reference_multicover(n_constraints, options, lam, node_budget):
+    """Exact cover with multiplicity: every constraint hit exactly lam times.
+    ``options[pos]`` lists the constraints option ``pos`` covers.  Returns
+    (chosen positions or None, nodes, budget_hit).
+
+    Branches on the least-index unsatisfied constraint; consecutive picks for
+    the same constraint are forced into increasing position, so each
+    lam-subset is tried once.  An option already chosen is never offered
+    again: it covers an earlier constraint, now saturated, or sits before the
+    least position allowed.  Complete and deterministic.  Depth-first with an
+    explicit stack, one frame per chosen option."""
+    need = [lam] * n_constraints
+    per_constraint: list[list[int]] = [[] for _ in range(n_constraints)]
+    for pos, cols in enumerate(options):
+        for c in cols:
+            per_constraint[c].append(pos)
+    # per option: the need of each of its constraints, as a tuple (itemgetter
+    # returns a bare value for one index, so a single index is repeated)
+    needs_of = [
+        itemgetter(*cols, *cols) if len(cols) == 1 else itemgetter(*cols) for cols in options
+    ]
+    stack = []  # per level: (constraint, its candidates, next index, pick)
+    nodes = 0
+    active = min_pos = 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            return None, nodes, True
+        while active < n_constraints and need[active] == 0:
+            active += 1
+            min_pos = 0
+        if active == n_constraints:
+            return [frame[3] for frame in stack], nodes, False
+        candidates = per_constraint[active]
+        i = bisect_left(candidates, min_pos)
+        while True:
+            for pos in islice(candidates, i, None):
+                i += 1
+                if 0 not in needs_of[pos](need):
+                    break
+            else:
+                # exhausted: undo the option that led here, try the next one
+                if not stack:
+                    return None, nodes, False
+                active, candidates, i, pos = stack.pop()
+                for c in options[pos]:
+                    need[c] += 1
+                continue
+            break
+        for c in options[pos]:
+            need[c] -= 1
+        stack.append((active, candidates, i, pos))
+        min_pos = pos + 1 if need[active] else 0

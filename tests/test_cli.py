@@ -292,6 +292,8 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count", "--family", "Z", "--q", "2", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "count", "--family", "C", "--q", "6", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "decode", "--p", "6", "--t", "1", "--k", "2")[:2] == (2, "")
+    # 2^89 - 1: a prime above the bound where Miller-Rabin is proven to decide
+    assert run_cli(capsys, "decode", "--p", str(2**89 - 1), "--t", "1", "--k", "2")[:2] == (2, "")
     assert run_cli(capsys, "verify-design", "/nonexistent/path.json")[0] == 2
     for flag, value in (("--constant", "1/0"), ("--c-prime", "0/0")):
         code, out, err = run_cli(

@@ -48,6 +48,14 @@ def test_prime_power_split_on_large_orders():
     assert prime_power_split(big * 3) is None
 
 
+def test_prime_power_split_refuses_roots_above_the_witness_bound():
+    # 2^89 - 1 is prime, so every base passes, but the bases decide primality
+    # only below 3.317 * 10^24
+    with pytest.raises(ValueError, match="proves primality only below 3317044064679887385961981"):
+        prime_power_split(2**89 - 1)
+    assert prime_power_split(2**100) == (2, 100)
+
+
 @pytest.mark.parametrize("p", ALL_ORDERS)
 def test_axioms_exhaustive(p):
     verify_field_axioms(make_field(p))

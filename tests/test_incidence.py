@@ -97,6 +97,25 @@ def test_constant_row_sum_rejects_repeated_tspaces(monkeypatch):
     assert not report.ok and report.checked == 4 and report.violation == (bad, 3)
 
 
+@pytest.mark.parametrize("in_a_block,same_size", [(False, False), (True, False), (True, True)])
+def test_verify_rejects_a_level_missing_a_tspace(monkeypatch, in_a_block, same_size):
+    # a level missing a t-space is an enumeration fault, not a verdict on the
+    # blocks: whether a block contains the missing t-space or not, and also
+    # when a repeated entry keeps the level at its closed-form size
+    space = standard_polar_space("C", 3, 2)
+    block = _spread("C", 3, 2, 3).blocks[0]
+    level = geometry._final_level(space, 1, geometry.DEFAULT_ENUMERATION_BUDGET)
+    inside = {s.to_bytes() for s in geometry.subspaces_within(space.field, block, 1)}
+    dropped = next(data for data in level if (data in inside) == in_a_block)
+    broken = [data for data in level if data != dropped]
+    if same_size:
+        broken.append(broken[-1])
+    monkeypatch.setitem(geometry._LEVEL_CACHE, (space, 1), broken)
+    instance = DesignInstance(family="C", q=2, n=3, t=1, k=3, lam=1, blocks=(block,))
+    with pytest.raises(AssertionError, match="level 1 is not every isotropic 1-space"):
+        verify_design(instance)
+
+
 def test_verify_complete_design():
     sp = standard_polar_space("C", 2, 2)
     blocks = tuple(isotropic_kspaces(sp, 2))
