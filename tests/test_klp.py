@@ -144,6 +144,24 @@ def test_feasibility_report_contents():
     assert report["relaxed_threshold"] > 0
 
 
+def test_feasibility_report_keys_are_pinned():
+    report = feasibility_report(standard_polar_space("B", 4, 3), 1, 3)
+    assert set(report) == {
+        "family", "q", "n", "p", "t", "k",
+        "constant_C", "constant_c_prime", "k_exceeds_21t_over_2",
+        "m", "gamma_l1", "c1_upper_witness", "c1_coarse_bound", "c2",
+        "c3_from_c4", "c3_coarse_bound", "c4_exact", "c4_coarse_bound",
+        "count_tspaces", "count_tspaces_coarse_bound", "dim_l_bound",
+        "count_kspaces", "count_kspaces_lower_bound", "log_term",
+        "n_threshold", "relaxed_threshold", "theorem_cap_p_21nt",
+        "smallest_feasible_multiple", "n_fits_within_x", "n_within_theorem_cap",
+        "lambda_at_n", "lambda_is_integer", "inequalities", "assumptions",
+    }  # fmt: skip
+    assert len(report) == 34
+    assert set(report["assumptions"]) == {"symmetry_c2", "c1"}
+    assert len(report["inequalities"]) == 6
+
+
 def test_n_threshold_exact_value_small_case():
     space = standard_polar_space("C", 3, 2)
     budget = klp_budget(space, 1, 2)
