@@ -10,7 +10,6 @@ search (search), and the command line (cli).
 from ._backend import BACKEND_NAME
 from .counting import (
     CountExpression,
-    LambdaRatio,
     gaussian_binomial,
     lambda_ratio,
     fixed_intersection_count,
@@ -41,7 +40,6 @@ from .incidence import (
     constant_row_sum_check,
     design_from_json,
     design_to_json,
-    phi,
     read_certificate,
     verify_design,
     write_certificate,
@@ -69,7 +67,6 @@ __all__ = [
     "FieldTable",
     "FormEvaluator",
     "KlpBudget",
-    "LambdaRatio",
     "PolarSpace",
     "SearchFailure",
     "SearchProblem",
@@ -91,7 +88,6 @@ __all__ = [
     "lambda_ratio",
     "fixed_intersection_count",
     "make_field",
-    "phi",
     "polar_count",
     "polar_count_through",
     "read_certificate",

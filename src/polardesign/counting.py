@@ -103,25 +103,9 @@ def fixed_intersection_count(p: int, k: int, t: int, ell: int, j: int) -> int:
     return p ** ((t - j) * (k - t - j + ell)) * b1 * b2
 
 
-@dataclass(frozen=True)
-class LambdaRatio:
-    """lambda = N * (#k-spaces through a t-space) / (#k-spaces), two ways."""
-
-    value: Fraction
-    simplified: Fraction
-    consistent: bool
-
-
-def lambda_ratio(space, t: int, k: int, n_blocks: int) -> LambdaRatio:
-    """Exact design parameter for a hypothetical block set of size n_blocks,
-    plus the simplified closed form and their (always-true) equality flag."""
+def lambda_ratio(space, t: int, k: int, n_blocks: int) -> Fraction:
+    """lambda = N * (#k-spaces through a t-space) / (#k-spaces): the exact
+    design parameter of a hypothetical block set of size n_blocks."""
     if n_blocks < 0:
         raise ValueError("block count must be nonnegative")
-    value = Fraction(n_blocks * polar_count_through(space, t, k), polar_count(space, k))
-    denom = gaussian_binomial(space.n, t, space.p)
-    for i in range(t):
-        denom *= power_half(space.p, 2 * (space.n - i) + space.twice_e) + 1
-    simplified = Fraction(n_blocks * gaussian_binomial(k, t, space.p), denom)
-    return LambdaRatio(
-        value=value, simplified=simplified, consistent=value == simplified
-    )
+    return Fraction(n_blocks * polar_count_through(space, t, k), polar_count(space, k))

@@ -13,7 +13,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -54,15 +54,15 @@ class FormEvaluator:
 
     def _validate(self):
         d, f = self.dimension, self.field
-        _, rank = kernels.rref(self.gram, d, d, f)
+        red, rank = kernels.rref(self.gram, d, d, f)
         if self.kind in ("alternating", "hermitian"):
             if rank != d:
                 raise ValueError("degenerate bilinear form")
-        else:
-            # char-2 quadrics may have a radical vector; it must be nonsingular
-            for vec in _kernel_vectors(self.gram, d, d, f):
-                if any(vec) and self.quadratic(vec) == 0:
-                    raise ValueError("degenerate quadratic form")
+        elif rank < d and (rank < d - 1 or self.quadratic(_radical_vector(red, d, f)) == 0):
+            # Q must vanish on no nonzero radical vector.  In odd characteristic
+            # Q(v) = B(v, v)/2 = 0 there; in characteristic 2 Q is semilinear
+            # on the radical, so only a radical line <v> with Q(v) != 0 passes.
+            raise ValueError("degenerate quadratic form")
 
     def bilinear(self, u, w) -> int:
         """f(u, w); for quadratic kind this is the polar form of Q."""
@@ -108,37 +108,15 @@ class FormEvaluator:
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"
 
 
-def _kernel_vectors(flat, rows, cols, field):
-    """All vectors in the nullspace {v : M v^T = 0}; cold path, small spaces."""
-    red, rank = kernels.rref(flat, rows, cols, field)
-    pivots = []
-    for r in range(rank):
-        for c in range(cols):
-            if red[r * cols + c]:
-                pivots.append(c)
-                break
-    free = [c for c in range(cols) if c not in pivots]
-    if len(free) > 12:
-        raise ValueError("nullspace too large to enumerate")
-    basis = []
-    for c0 in free:
-        v = [0] * cols
-        v[c0] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red[i * cols + c0])
-        basis.append(v)
-    p = field.order
-    for code in range(p ** len(basis)):
-        vec = [0] * cols
-        x = code
-        for b in basis:
-            c = x % p
-            x //= p
-            if c:
-                for i in range(cols):
-                    if b[i]:
-                        vec[i] = field.add(vec[i], field.mul(c, b[i]))
-        yield tuple(vec)
+def _radical_vector(red, d, field):
+    """The nullspace basis vector of a d x d RREF matrix of rank d - 1."""
+    pivots = [red.index(1, r * d) - r * d for r in range(d - 1)]
+    free = next(c for c in range(d) if c not in pivots)
+    vec = [0] * d
+    vec[free] = 1
+    for r, c in enumerate(pivots):
+        vec[c] = field.neg(red[r * d + free])
+    return vec
 
 
 @dataclass(frozen=True, order=True)
@@ -203,7 +181,8 @@ def rref_canonicalize(field: FieldTable, rows, ambient: int | None = None) -> Su
 
 @dataclass(frozen=True, eq=False)
 class PolarSpace:
-    """Descriptor plus standard form for one of the six families."""
+    """Descriptor of one of the six families; its standard form is built on
+    first use, so the closed-form counts never build one."""
 
     family: str
     n: int
@@ -213,33 +192,41 @@ class PolarSpace:
     twice_e: int
     group: str
     field: FieldTable
-    form: FormEvaluator
 
     def __repr__(self):
         return f"PolarSpace({self.family}, n={self.n}, q={self.q})"
 
+    @cached_property
+    def form(self) -> FormEvaluator:
+        d, field = self.d, self.field
+        gram = bytearray(d * d)
+        if self.family in ("2A-odd", "2A-even"):
+            gram[:: d + 1] = b"\x01" * d
+            return FormEvaluator("hermitian", field, d, gram)
+        if self.family == "C":
+            for i in range(0, d, 2):
+                gram[i * d + i + 1] = 1
+                gram[(i + 1) * d + i] = field.neg(1)
+            return FormEvaluator("alternating", field, d, gram)
+        quad = bytearray(d * d)
+        solo = int(self.family == "B")  # the parabolic solo square x1^2 comes first
+        quad[0] = solo
+        for i in range(solo, solo + 2 * self.n, 2):
+            quad[i * d + i + 1] = 1
+        if self.family == "2D":  # the anisotropic tail u^2 + uv + a v^2 on (x_{d-1}, x_d)
+            quad[-d - 2] = quad[-d - 1] = 1  # u^2 and uv, in row d-1
+            quad[-1] = _least_anisotropic_coeff(field)  # a v^2
+        for i in range(d):
+            for j in range(d):
+                gram[i * d + j] = field.add(quad[i * d + j], quad[j * d + i])
+        return FormEvaluator("quadratic", field, d, gram, quad)
+
 
 def _least_anisotropic_coeff(field: FieldTable) -> int:
-    # least a with u^2 + uv + a v^2 nonzero away from the origin
-    p = field.order
-    for a in range(p):
-        ok = True
-        for u in range(p):
-            for v in range(p):
-                if u == 0 and v == 0:
-                    continue
-                val = field.add(
-                    field.add(field.mul(u, u), field.mul(u, v)),
-                    field.mul(a, field.mul(v, v)),
-                )
-                if val == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return a
-    raise RuntimeError(f"no anisotropic binary form over F_{p}")
+    # u^2 + uv + a v^2 = v^2 ((u/v)^2 + u/v + a) is nonzero away from the
+    # origin iff x^2 + x + a has no root, that is iff -a is no x^2 + x
+    values = {field.add(field.mul(x, x), x) for x in range(field.order)}
+    return next(a for a in range(field.order) if field.neg(a) not in values)
 
 
 @lru_cache(maxsize=None)
@@ -265,41 +252,7 @@ def standard_polar_space(family: str, n: int, q: int) -> PolarSpace:
         d, twice_e, group = 2 * n + 1, 0, f"O({2 * n + 1},{q})"
     else:  # 2D
         d, twice_e, group = 2 * n + 2, 2, f"O-({2 * n + 2},{q})"
-
-    gram = bytearray(d * d)
-    if hermitian:
-        gram[:: d + 1] = b"\x01" * d
-        form = FormEvaluator("hermitian", field, d, gram)
-    elif family == "C":
-        for i in range(0, d, 2):
-            gram[i * d + i + 1] = 1
-            gram[(i + 1) * d + i] = field.neg(1)
-        form = FormEvaluator("alternating", field, d, gram)
-    else:
-        quad = bytearray(d * d)
-        solo = int(family == "B")  # the parabolic solo square x1^2 comes first
-        quad[0] = solo
-        for i in range(solo, solo + 2 * n, 2):
-            quad[i * d + i + 1] = 1
-        if family == "2D":  # the anisotropic tail u^2 + uv + a v^2 on (x_{d-1}, x_d)
-            quad[-d - 2] = quad[-d - 1] = 1  # u^2 and uv, in row d-1
-            quad[-1] = _least_anisotropic_coeff(field)  # a v^2
-        for i in range(d):
-            for j in range(d):
-                gram[i * d + j] = field.add(quad[i * d + j], quad[j * d + i])
-        form = FormEvaluator("quadratic", field, d, gram, quad)
-
-    return PolarSpace(
-        family=family,
-        n=n,
-        q=q,
-        p=p,
-        d=d,
-        twice_e=twice_e,
-        group=group,
-        field=field,
-        form=form,
-    )
+    return PolarSpace(family, n, q, p, d, twice_e, group, field)
 
 
 def is_totally_isotropic(form: FormEvaluator, subspace: Subspace) -> bool:
@@ -365,11 +318,11 @@ def _final_level(space, k, budget, start: Subspace | None = None):
     else:
         level, j0 = [start.data], start.k
         start_pivots = bytes(next(c for c, x in enumerate(row) if x) for row in start.rows)
-    for predicted in _level_counts(space, k, j0, start):
+    # name the level, not its predicted size, which str() refuses past 4300 digits
+    first = 0 if start is None else j0
+    for j, predicted in enumerate(_level_counts(space, k, j0, start), first):
         if predicted > budget:
-            raise BudgetExceededError(
-                f"predicted level size {predicted} exceeds budget {budget}"
-            )
+            raise BudgetExceededError(f"level {j} is predicted to exceed budget {budget}")
     for j in range(j0, k):
         if start is None:
             level = _extend_once(space, level, j)

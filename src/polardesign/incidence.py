@@ -1,5 +1,5 @@
-"""Incidence indicators phi_V, the constant-row-sum condition, and design
-certification with a canonical JSON certificate format.
+"""The constant-row-sum condition and design certification with a canonical
+JSON certificate format.
 
 A design certificate round-trips byte-identically: keys are sorted, numbers
 are plain integers, and blocks are the canonical RREF row lists in
@@ -20,14 +20,8 @@ from .geometry import (
     is_totally_isotropic,
     rref_canonicalize,
     standard_polar_space,
-    subspace_contains,
     tspace_positions,
 )
-
-
-def phi(space: PolarSpace, tspace: Subspace, kspace: Subspace) -> int:
-    """Indicator of V <= U, decided by exact rank arithmetic."""
-    return 1 if subspace_contains(space.field, kspace, tspace) else 0
 
 
 @dataclass(frozen=True)
@@ -145,10 +139,7 @@ def verify_design(
             violation = (Subspace.from_bytes(level[i], t, space.d), count)
             break
 
-    ratio = lambda_ratio(space, t, k, len(instance.blocks))
-    ratio_consistent = (
-        ratio.value.denominator == 1 and ratio.value.numerator == instance.lam
-    )
+    ratio_consistent = lambda_ratio(space, t, k, len(instance.blocks)) == instance.lam
     ok = violation is None and not errors and ratio_consistent
     return VerifyReport(
         ok=ok,
@@ -233,7 +224,11 @@ def design_from_payload(payload) -> DesignInstance:
 
 
 def design_from_json(text: str) -> DesignInstance:
-    return design_from_payload(json.loads(text))
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("certificate JSON nests too deeply to parse") from None
+    return design_from_payload(payload)
 
 
 def write_certificate(path, instance: DesignInstance) -> None:

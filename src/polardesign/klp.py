@@ -50,7 +50,7 @@ class KlpBudget:
     k: int
     m: int
     gamma_l1: int
-    c1_witness: int
+    c1_upper_witness: int
     c1_coarse_bound: int
     c2: int
     c3_from_c4: int
@@ -65,7 +65,7 @@ class KlpBudget:
     log_term: int
     n_threshold: int
     relaxed_threshold: int
-    theorem_cap: int
+    theorem_cap_p_21nt: int
     inequalities: tuple[tuple[str, bool], ...]
 
     def inequality(self, name: str) -> bool:
@@ -132,7 +132,7 @@ def klp_budget(
         k=k,
         m=m,
         gamma_l1=gamma_l1,
-        c1_witness=c1_witness,
+        c1_upper_witness=c1_witness,
         c1_coarse_bound=c1_coarse,
         c2=1,
         c3_from_c4=c3,
@@ -147,7 +147,7 @@ def klp_budget(
         log_term=log_term,
         n_threshold=n_threshold,
         relaxed_threshold=relaxed,
-        theorem_cap=cap,
+        theorem_cap_p_21nt=cap,
         inequalities=inequalities,
     )
 
@@ -167,47 +167,20 @@ def feasibility_report(
     compute orbits.
     """
     budget = klp_budget(space, t, k, constant, c_prime)
-    threshold_flag = 2 * k > 21 * t
-    c1w = budget.c1_witness
-    multiplier = -(-budget.n_threshold // c1w)
-    n_blocks = multiplier * c1w
-    fits = n_blocks <= budget.count_kspaces - budget.n_threshold
-    within_cap = n_blocks <= budget.theorem_cap
+    c1w = budget.c1_upper_witness
+    n_blocks = -(-budget.n_threshold // c1w) * c1w
     lam = lambda_ratio(space, t, k, n_blocks)
     return {
-        "family": space.family,
-        "q": space.q,
-        "n": space.n,
-        "p": space.p,
-        "t": t,
-        "k": k,
+        **vars(budget),
         "constant_C": decimal_string(Fraction(constant)),
         "constant_c_prime": decimal_string(Fraction(c_prime)),
-        "k_exceeds_21t_over_2": threshold_flag,
-        "m": budget.m,
-        "gamma_l1": budget.gamma_l1,
-        "c1_upper_witness": budget.c1_witness,
-        "c1_coarse_bound": budget.c1_coarse_bound,
-        "c2": budget.c2,
-        "c3_from_c4": budget.c3_from_c4,
-        "c3_coarse_bound": budget.c3_coarse_bound,
-        "c4_exact": budget.c4_exact,
-        "c4_coarse_bound": budget.c4_coarse_bound,
-        "count_tspaces": budget.count_tspaces,
-        "count_tspaces_coarse_bound": budget.count_tspaces_coarse_bound,
-        "dim_l_bound": budget.dim_l_bound,
-        "count_kspaces": budget.count_kspaces,
-        "count_kspaces_lower_bound": budget.count_kspaces_lower_bound,
-        "log_term": budget.log_term,
-        "n_threshold": budget.n_threshold,
-        "relaxed_threshold": budget.relaxed_threshold,
-        "theorem_cap_p_21nt": budget.theorem_cap,
+        "k_exceeds_21t_over_2": 2 * k > 21 * t,
         "smallest_feasible_multiple": n_blocks,
-        "n_fits_within_x": fits,
-        "n_within_theorem_cap": within_cap,
-        "lambda_at_n": decimal_string(lam.value),
-        "lambda_is_integer": lam.value.denominator == 1,
-        "inequalities": {name: ok for name, ok in budget.inequalities},
+        "n_fits_within_x": n_blocks <= budget.count_kspaces - budget.n_threshold,
+        "n_within_theorem_cap": n_blocks <= budget.theorem_cap_p_21nt,
+        "lambda_at_n": decimal_string(lam),
+        "lambda_is_integer": lam.denominator == 1,
+        "inequalities": dict(budget.inequalities),
         "assumptions": {
             "symmetry_c2": "isometry group transitivity (classical), not computed",
             "c1": "upper witness m*|A|, not the minimal divisibility constant",

@@ -8,6 +8,7 @@ from bisect import bisect_left
 from itertools import combinations, islice, product
 from operator import itemgetter
 
+from polardesign import _pykernels as kernels
 from polardesign.geometry import Subspace
 
 
@@ -106,6 +107,70 @@ def naive_intersection_dimension(field, a: Subspace, b: Subspace) -> int:
         dim += 1
     assert field.order**dim == common
     return dim
+
+
+# The enumeration rule that geometry.FormEvaluator's radical rule replaced,
+# kept verbatim as the reference for which quadratic forms are nondegenerate.
+def reference_kernel_vectors(flat, rows, cols, field):
+    """All vectors in the nullspace {v : M v^T = 0}; cold path, small spaces."""
+    red, rank = kernels.rref(flat, rows, cols, field)
+    pivots = []
+    for r in range(rank):
+        for c in range(cols):
+            if red[r * cols + c]:
+                pivots.append(c)
+                break
+    free = [c for c in range(cols) if c not in pivots]
+    if len(free) > 12:
+        raise ValueError("nullspace too large to enumerate")
+    basis = []
+    for c0 in free:
+        v = [0] * cols
+        v[c0] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(red[i * cols + c0])
+        basis.append(v)
+    p = field.order
+    for code in range(p ** len(basis)):
+        vec = [0] * cols
+        x = code
+        for b in basis:
+            c = x % p
+            x //= p
+            if c:
+                for i in range(cols):
+                    if b[i]:
+                        vec[i] = field.add(vec[i], field.mul(c, b[i]))
+        yield tuple(vec)
+
+
+def reference_quadric_is_nondegenerate(field, d: int, gram: bytes, quad: bytes) -> bool:
+    """No nonzero vector of the polar form's nullspace is singular, with
+    Q(u) = sum_{i <= c} quad[i][c] u_i u_c evaluated directly."""
+
+    def q(u):
+        acc = 0
+        for i in range(d):
+            for c in range(i, d):
+                acc = field.add(acc, field.mul(quad[i * d + c], field.mul(u[i], u[c])))
+        return acc
+
+    return not any(any(v) and q(v) == 0 for v in reference_kernel_vectors(gram, d, d, field))
+
+
+def reference_anisotropic_coeff(field) -> int:
+    """The least a with u^2 + uv + a v^2 nonzero away from the origin, by
+    trying every (u, v)."""
+    p = field.order
+    for a in range(p):
+        if all(
+            field.add(field.add(field.mul(u, u), field.mul(u, v)), field.mul(a, field.mul(v, v)))
+            for u in range(p)
+            for v in range(p)
+            if u or v
+        ):
+            return a
+    raise AssertionError(f"no anisotropic binary form over F_{p}")
 
 
 # The dancing-links-order exact cover that search._exact_cover replaced

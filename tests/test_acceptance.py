@@ -252,7 +252,7 @@ def test_criterion_7_constructive_search():
             failures.append((family, n, f"{len(result.blocks)} blocks"))
         report = verify_design(result)
         ratio = lambda_ratio(result.space(), 1, k, len(result.blocks))
-        if not (report.ok and report.lam == 1 and ratio.value == 1):
+        if not (report.ok and report.lam == 1 and ratio == 1):
             failures.append((family, n, "verification failed"))
     _report(7, "constructive spread search", failures, time.time() - start)
     assert not failures, failures

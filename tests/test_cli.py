@@ -353,7 +353,7 @@ def test_integers_beyond_the_str_digit_limit_are_printed_exactly(capsys):
     sys.set_int_max_str_digits(0)
     try:
         space = standard_polar_space("2A-odd", 60, 5)
-        want = klp_budget(space, 3, 7).theorem_cap
+        want = klp_budget(space, 3, 7).theorem_cap_p_21nt
         assert report["theorem_cap_p_21nt"] == str(want) and len(str(want)) > limit
         want = polar_count(standard_polar_space("C", 200, 2), 200)
         assert count == str(want) and len(count) > limit
@@ -417,5 +417,45 @@ def test_field_orders_beyond_the_cap_are_rejected_before_factoring(tmp_path, cap
     assert (code, out) == (2, "") and err.startswith("error:")
     cert = tmp_path / "big.json"
     cert.write_text(json.dumps({**_CERT, "q": big, "blocks": []}))
+    code, out, err = run_cli(capsys, "verify-design", str(cert))
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_counting_commands_never_build_a_form(monkeypatch, capsys):
+    from polardesign import geometry
+
+    def refuse(*args):
+        raise AssertionError("a counting command built a form")
+
+    monkeypatch.setattr(geometry, "FormEvaluator", refuse)
+    code, out, _ = run_cli(capsys, "count", "--family", "C", "--q", "2", "--n", "2000", "--k", "1")
+    assert code == 0 and json.loads(out)["count"] == str(2**4000 - 1)
+    code, out, _ = run_cli(
+        capsys, "klp-report", "--family", "D", "--q", "2", "--n", "2000", "--t", "1", "--k", "2"
+    )
+    assert code == 0 and json.loads(out)["n"] == "2000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "C", "--q", "32", "--n", "1500", "--k", "1"),
+        ("search", "--family", "C", "--q", "32", "--n", "1500", "--t", "1", "--k", "1", "--lambda", "1"),
+        ("verify-counts", "--family", "D", "--q", "31", "--n", "1500", "--samples", "0"),
+    ],
+    ids=["enumerate", "search", "verify-counts"],
+)
+def test_budget_exits_name_the_level_not_its_predicted_size(capsys, argv):
+    # the predicted level size has over 4300 digits, more than str() converts
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: level 1 is predicted to exceed budget 10000000\n"
+
+
+def test_deeply_nested_certificate_is_a_usage_error(tmp_path, capsys):
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        design_from_json(cert.read_text())
     code, out, err = run_cli(capsys, "verify-design", str(cert))
     assert (code, out) == (2, "") and err.startswith("error:")

@@ -128,18 +128,23 @@ def test_product_bound_five_halves():
 
 def test_lambda_ratio_examples():
     sp = standard_polar_space("C", 2, 2)
-    ratio = lambda_ratio(sp, 1, 2, 5)
-    assert ratio.value == 1 and ratio.consistent
+    assert lambda_ratio(sp, 1, 2, 5) == 1
     sp = standard_polar_space("C", 3, 2)
-    ratio = lambda_ratio(sp, 1, 3, 9)
-    assert ratio.value == Fraction(9 * 15, 135) == 1
-    assert lambda_ratio(sp, 1, 2, 0).value == 0
+    assert lambda_ratio(sp, 1, 3, 9) == Fraction(9 * 15, 135) == 1
+    assert lambda_ratio(sp, 1, 2, 0) == 0
+    with pytest.raises(ValueError):
+        lambda_ratio(sp, 1, 2, -1)
 
 
 def test_lambda_ratio_simplification_everywhere():
+    # double counting of (t-space, k-space) incident pairs:
+    # |X| [k t]_p = #t-spaces * #k-spaces through one, and #t-spaces is
+    # [n t]_p prod_{i<t} (p^(n-i+e) + 1), so lambda = N [k t]_p / #t-spaces
     for space in ALL_SMALL_SPACES:
         for t in range(space.n + 1):
             for k in range(t, space.n + 1):
-                ratio = lambda_ratio(space, t, k, 7)
-                assert ratio.consistent
-                assert ratio.value == ratio.simplified
+                tspaces = gaussian_binomial(space.n, t, space.p)
+                for i in range(t):
+                    tspaces *= power_half(space.p, 2 * (space.n - i) + space.twice_e) + 1
+                want = Fraction(7 * gaussian_binomial(k, t, space.p), tspaces)
+                assert lambda_ratio(space, t, k, 7) == want

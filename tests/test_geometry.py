@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     naive_all_subspaces,
@@ -9,6 +11,8 @@ from oracles import (
     naive_intersection_dimension,
     naive_is_totally_isotropic,
     naive_isotropic_kspaces,
+    reference_anisotropic_coeff,
+    reference_quadric_is_nondegenerate,
     span_vectors,
 )
 from polardesign import _pykernels
@@ -24,6 +28,7 @@ from polardesign.geometry import (
     FormEvaluator,
     Subspace,
     _extend_once,
+    _least_anisotropic_coeff,
     clear_enumeration_cache,
     enumerate_extensions,
     intersection_dimension,
@@ -177,6 +182,39 @@ def test_form_evaluator_rejections():
     form = FormEvaluator("quadratic", f2, 2, bytearray(hyperbolic), bytes((0, 1, 0, 0)))
     assert (form.gram, form.quad) == (hyperbolic, bytes((0, 1, 0, 0)))
     assert type(form.gram) is bytes
+
+
+@st.composite
+def consistent_quadrics(draw):
+    """A quadratic form on F_p^d (p in {2, 3, 4, 5, 8, 9}, d <= 6) as its
+    polar Gram matrix and its upper-triangular coefficient matrix.  About
+    half the coefficients are zero, so degenerate forms come up often."""
+    p = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
+    d = draw(st.integers(1, 6))
+    field = make_field(p)
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    quad = bytes(draw(entry) if c >= i else 0 for i in range(d) for c in range(d))
+    gram = bytes(field.add(quad[i * d + c], quad[c * d + i]) for i in range(d) for c in range(d))
+    return field, d, gram, quad
+
+
+@settings(max_examples=400, deadline=None)
+@given(consistent_quadrics())
+def test_quadric_radical_rule_matches_enumeration(form):
+    field, d, gram, quad = form
+    try:
+        FormEvaluator("quadratic", field, d, gram, quad)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "degenerate quadratic form"
+        accepted = False
+    assert accepted == reference_quadric_is_nondegenerate(field, d, gram, quad)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_anisotropic_coeff_root_test_matches_bruteforce(p):
+    field = make_field(p)
+    assert _least_anisotropic_coeff(field) == reference_anisotropic_coeff(field)
 
 
 def test_is_totally_isotropic_examples():

@@ -15,7 +15,6 @@ from polardesign.incidence import (
     constant_row_sum_check,
     design_from_json,
     design_to_json,
-    phi,
     read_certificate,
     verify_design,
     write_certificate,
@@ -29,14 +28,16 @@ def _spread(family, n, q, k):
 
 
 def test_phi_basics():
+    # the incidence indicator phi_V(U) is subspace_contains(field, U, V)
     sp = standard_polar_space("C", 2, 2)
+    f = sp.field
     points = isotropic_kspaces(sp, 1)
     lines = isotropic_kspaces(sp, 2)
-    assert phi(sp, points[0], points[0]) == 1
-    outside = next(p for p in points if phi(sp, p, lines[0]) == 0)
-    assert phi(sp, outside, lines[0]) == 0
+    assert subspace_contains(f, points[0], points[0])
+    outside = next(p for p in points if not subspace_contains(f, lines[0], p))
+    assert not subspace_contains(f, lines[0], outside)
     for u in lines:
-        assert sum(phi(sp, v, u) for v in points) == 3  # three points per line
+        assert sum(subspace_contains(f, u, v) for v in points) == 3  # three points per line
 
 
 def test_constant_row_sum_examples():
@@ -152,7 +153,7 @@ def test_verify_detects_duplicate_block_and_uncovered_point():
     uncovered = [
         v
         for v in isotropic_kspaces(space, 1)
-        if sum(phi(space, v, b) for b in mutated.blocks) == 0
+        if not any(subspace_contains(space.field, b, v) for b in mutated.blocks)
     ]
     assert uncovered
 

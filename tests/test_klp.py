@@ -44,7 +44,7 @@ def test_worked_budget_c3_q2():
     assert budget.c2 == 1
     assert budget.c4_exact == 10
     assert budget.c3_from_c4 == 2 * 10 * 63 == 1260
-    assert budget.c1_witness == 6 * 63
+    assert budget.c1_upper_witness == 6 * 63
     assert budget.count_tspaces_coarse_bound == 10 * 2**6 == 640
     assert budget.count_kspaces_lower_bound == 2**6 == 64
     assert all(ok for _, ok in budget.inequalities)
