@@ -10,12 +10,16 @@ from __future__ import annotations
 
 
 def rref(mat, rows, cols, field):
-    """Reduced row echelon form.  Returns (bytes, rank); zero rows trail."""
+    """Reduced row echelon form.  Returns (bytes, pivot columns); zero rows
+    trail, so the rank is the number of pivots."""
     p, addt, mult = field.order, field.add_table, field.mul_table
     negt, invt = field.neg_table, field.inv_table
     a = list(mat)
+    pivots = []
     rank = 0
     for col in range(cols):
+        if rank == rows:
+            break
         piv = -1
         for r in range(rank, rows):
             if a[r * cols + col]:
@@ -41,29 +45,16 @@ def rref(mat, rows, cols, field):
                 rb = r * cols
                 for c in range(col, cols):
                     a[rb + c] = addt[a[rb + c] * p + mult[a[base + c] * p + nf]]
+        pivots.append(col)
         rank += 1
-        if rank == rows:
-            break
-    return bytes(a), rank
-
-
-def _reduce_mod(w, rows_by_pivot, d, p, addt, mult, negt):
-    # subtract row multiples so w vanishes on every listed pivot column
-    for pv, row in rows_by_pivot:
-        f = w[pv]
-        if f:
-            nf = negt[f]
-            for c in range(pv, d):
-                rc = row[c]
-                if rc:
-                    w[c] = addt[w[c] * p + mult[rc * p + nf]]
-    return w
+    return bytes(a), pivots
 
 
 def extend_level(mats, count, j, d, form, start_pivots):
     """One enumeration level: the isotropic (j+1)-spaces containing the
     j-spaces in ``mats``, as concatenated canonical RREF matrices, each
-    produced exactly once.
+    produced exactly once.  The parents must be canonical RREF matrices of
+    totally isotropic subspaces.
 
     Every j-space in ``mats`` contains a fixed start subspace whose pivot
     columns are ``start_pivots`` (empty for a walk from the zero space).  A
@@ -73,25 +64,29 @@ def extend_level(mats, count, j, d, form, start_pivots):
     its own first pivot outside the start's pivots (orderly generation:
     R. C. Read, 1978; B. D. McKay, 1998).
 
+    perp(S) of a parent S is the kernel of M, the matrix with rows
+    B(s_i, .), and is read off one RREF: with M's columns reversed, the
+    kernel vector of free column r leads at d-1-r with a 1, holds
+    -Mb[i][r] at d-1-pivot_i and is zero on every other lead, so these
+    vectors are the RREF of perp(S).  S lies in perp(S), so S's pivots are
+    leads of perp(S); the vectors leading elsewhere vanish on them and span
+    the complement of S in perp(S) that vanishes on S's pivot columns.
+
     ``form`` is the ``FormEvaluator`` on F_p^d; its field, its row-major
     ``gram`` and ``quad`` bytes and its kind are read once at entry."""
     field, gram, quad = form.field, form.gram, form.quad
     hermitian, quadratic = form.kind == "hermitian", form.kind == "quadratic"
     p, addt, mult = field.order, field.add_table, field.mul_table
-    negt, invt, conj = field.neg_table, field.inv_table, field.conj_table
+    negt, conj = field.neg_table, field.conj_table
     out = bytearray()
     msize = j * d
     for im in range(count):
         sbase = im * msize
         srows = [list(mats[sbase + i * d : sbase + (i + 1) * d]) for i in range(j)]
-        spivots = []
-        for row in srows:
-            for c in range(d):
-                if row[c]:
-                    spivots.append(c)
-                    break
+        spivots = [row.index(1) for row in srows]
 
-        # constraint matrix: new vector v must satisfy B(s_i, v) = 0
+        # constraint matrix, columns reversed: new vector v must satisfy
+        # B(s_i, v) = 0
         M = bytearray(msize)
         for i in range(j):
             srow = srows[i]
@@ -105,48 +100,22 @@ def extend_level(mats, count, j, d, form, start_pivots):
                             acc = addt[acc * p + mult[sg * p + gc]]
                 if hermitian:
                     acc = conj[acc]
-                M[i * d + c] = acc
-        if j:
-            Mb, mrank = rref(bytes(M), j, d, field)
-        else:
-            Mb, mrank = b"", 0
-        pivots = []
-        for r in range(mrank):
-            for c in range(d):
-                if Mb[r * d + c]:
-                    pivots.append(c)
-                    break
-        pivset = set(pivots)
+                M[i * d + d - 1 - c] = acc
+        Mb, pivots = rref(bytes(M), j, d, field)
 
-        # kernel basis of M, then a complement of the row space of S inside it
-        accum = list(zip(spivots, srows))
-        accum.sort()
+        # the RREF rows of perp(S) that lead outside S's pivots, in
+        # ascending lead order, so every combination of comp[idx] with later
+        # vectors leads at comp[idx]'s lead with a 1
         comp = []
-        for c0 in range(d):
-            if c0 in pivset:
+        for lead in range(d):
+            r = d - 1 - lead
+            if r in pivots or lead in spivots:
                 continue
             w = [0] * d
-            w[c0] = 1
+            w[lead] = 1
             for i, pc in enumerate(pivots):
-                w[pc] = negt[Mb[i * d + c0]]
-            _reduce_mod(w, accum, d, p, addt, mult, negt)
-            lead = -1
-            for c in range(d):
-                if w[c]:
-                    lead = c
-                    break
-            if lead < 0:
-                continue
-            s = invt[w[lead]]
-            if s != 1:
-                for c in range(lead, d):
-                    w[c] = mult[w[c] * p + s]
-            accum.append((lead, w))
-            accum.sort()
+                w[d - 1 - pc] = negt[Mb[i * d + r]]
             comp.append((lead, w))
-        # ascending leads (the leads are distinct), so every combination of
-        # comp[idx] with later vectors leads at comp[idx]'s lead
-        comp.sort()
 
         # one candidate vector per projective point of perp(S)/S that leads
         # before the parent's first pivot outside the start
@@ -199,24 +168,17 @@ def extend_level(mats, count, j, d, form, start_pivots):
 
                 # canonical insertion of v into S; a no-op for walks from the
                 # zero space, where v leads before every row of S
-                c0 = 0
-                while not v[c0]:
-                    c0 += 1
-                s = invt[v[c0]]
-                if s != 1:
-                    for c in range(c0, d):
-                        v[c] = mult[v[c] * p + s]
                 new_rows = []
                 inserted = False
                 for pv, row in zip(spivots, srows):
-                    if not inserted and c0 < pv:
+                    if not inserted and lead < pv:
                         new_rows.append(v)
                         inserted = True
                     nr = row[:]
-                    f = nr[c0]
+                    f = nr[lead]
                     if f:
                         nf = negt[f]
-                        for c in range(c0, d):
+                        for c in range(lead, d):
                             vc = v[c]
                             if vc:
                                 nr[c] = addt[nr[c] * p + mult[vc * p + nf]]

@@ -24,6 +24,7 @@ from .geometry import (
     enumerate_extensions,
     intersection_dimension,
     is_totally_isotropic,
+    rref_canonicalize,
     subspace_contains,
     subspaces_within,
     tspace_positions,
@@ -217,11 +218,14 @@ def verify_local_decodability(
     if tspace is None:
         tspace = Subspace.from_bytes(level[0], t, space.d)
     if wspace is None:
-        wspace = next(iter(enumerate_extensions(space, tspace, k + t, budget)))
+        wspace = next(enumerate_extensions(space, tspace, k + t, budget))
+    for name, sub, dim in (("V", tspace, t), ("W", wspace, k + t)):
+        if sub.k != dim or rref_canonicalize(space.field, sub.rows, space.d) != sub:
+            raise ValueError(f"{name} must be the canonical RREF matrix of a {dim}-space")
     if not subspace_contains(space.field, wspace, tspace):
         raise ValueError("V must be contained in W")
-    if wspace.k != k + t or not is_totally_isotropic(space.form, wspace):
-        raise ValueError("W must be a totally isotropic (k+t)-space")
+    if not is_totally_isotropic(space.form, wspace):
+        raise ValueError("W must be totally isotropic")
 
     support = subspaces_within(space.field, wspace, k)
     gammas = [system.f[intersection_dimension(space.field, u, tspace)] for u in support]

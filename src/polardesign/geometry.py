@@ -54,11 +54,12 @@ class FormEvaluator:
 
     def _validate(self):
         d, f = self.dimension, self.field
-        red, rank = kernels.rref(self.gram, d, d, f)
+        red, pivots = kernels.rref(self.gram, d, d, f)
+        rank = len(pivots)
         if self.kind in ("alternating", "hermitian"):
             if rank != d:
                 raise ValueError("degenerate bilinear form")
-        elif rank < d and (rank < d - 1 or self.quadratic(_radical_vector(red, d, f)) == 0):
+        elif rank < d and (rank < d - 1 or self.quadratic(_radical_vector(red, pivots, f)) == 0):
             # Q must vanish on no nonzero radical vector.  In odd characteristic
             # Q(v) = B(v, v)/2 = 0 there; in characteristic 2 Q is semilinear
             # on the radical, so only a radical line <v> with Q(v) != 0 passes.
@@ -108,9 +109,9 @@ class FormEvaluator:
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"
 
 
-def _radical_vector(red, d, field):
-    """The nullspace basis vector of a d x d RREF matrix of rank d - 1."""
-    pivots = [red.index(1, r * d) - r * d for r in range(d - 1)]
+def _radical_vector(red, pivots, field):
+    """The nullspace basis vector of a d x d RREF matrix with d - 1 pivots."""
+    d = len(pivots) + 1
     free = next(c for c in range(d) if c not in pivots)
     vec = [0] * d
     vec[free] = 1
@@ -173,10 +174,10 @@ def rref_canonicalize(field: FieldTable, rows, ambient: int | None = None) -> Su
     if not rows:
         return Subspace(ambient, b"")
     flat = bytes(x for row in rows for x in row)
-    red, rank = kernels.rref(flat, len(rows), ambient, field)
-    if rank != len(rows):
-        raise ValueError(f"rank-deficient matrix: rank {rank} < {len(rows)} rows")
-    return Subspace.from_bytes(red, rank, ambient)
+    red, pivots = kernels.rref(flat, len(rows), ambient, field)
+    if len(pivots) != len(rows):
+        raise ValueError(f"rank-deficient matrix: rank {len(pivots)} < {len(rows)} rows")
+    return Subspace.from_bytes(red, len(rows), ambient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,13 +354,16 @@ def enumerate_extensions(
     k: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Iterator[Subspace]:
-    """All totally isotropic k-spaces containing ``subspace``, lex order."""
+    """All totally isotropic k-spaces containing ``subspace``, lex order.
+    The base is checked, and the level enumerated, at call time."""
     if not subspace.k <= k <= space.n:
         raise ValueError(f"k must lie in {subspace.k}..{space.n}")
+    if rref_canonicalize(space.field, subspace.rows, space.d) != subspace:
+        raise ValueError("base subspace is not a canonical RREF matrix")
     if not is_totally_isotropic(space.form, subspace):
         raise ValueError("base subspace is not totally isotropic")
-    for data in _final_level(space, k, budget, start=subspace):
-        yield Subspace.from_bytes(data, k, space.d)
+    level = _final_level(space, k, budget, start=subspace)
+    return (Subspace.from_bytes(data, k, space.d) for data in level)
 
 
 def subspace_contains(field: FieldTable, outer: Subspace, inner: Subspace) -> bool:
@@ -372,8 +376,8 @@ def intersection_dimension(field: FieldTable, a: Subspace, b: Subspace) -> int:
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
     stacked = a.data + b.data
-    _, rank = kernels.rref(stacked, a.k + b.k, a.ambient, field)
-    return a.k + b.k - rank
+    _, pivots = kernels.rref(stacked, a.k + b.k, a.ambient, field)
+    return a.k + b.k - len(pivots)
 
 
 @lru_cache(maxsize=None)

@@ -113,7 +113,8 @@ def naive_intersection_dimension(field, a: Subspace, b: Subspace) -> int:
 # kept verbatim as the reference for which quadratic forms are nondegenerate.
 def reference_kernel_vectors(flat, rows, cols, field):
     """All vectors in the nullspace {v : M v^T = 0}; cold path, small spaces."""
-    red, rank = kernels.rref(flat, rows, cols, field)
+    red, pivot_cols = kernels.rref(flat, rows, cols, field)
+    rank = len(pivot_cols)
     pivots = []
     for r in range(rank):
         for c in range(cols):

@@ -220,6 +220,24 @@ def test_local_decodability_requires_room():
         verify_local_decodability(space, 1, 2)  # t + k > n
 
 
+def test_local_decodability_rejects_non_canonical_subspaces():
+    # a scaled point and a row-swapped basis name valid subspaces, but not by
+    # their canonical RREF matrices, which every lookup in the level keys on;
+    # a line of W is canonical but not a t-space
+    space = standard_polar_space("C", 3, 3)
+    vspace = isotropic_kspaces(space, 1)[5]
+    wspace = next(enumerate_extensions(space, vspace, 3))
+    scaled = Subspace.from_rows(space.d, [[2 * x % 3 for x in vspace.rows[0]]])
+    swapped = Subspace.from_rows(space.d, [wspace.rows[1], wspace.rows[0], wspace.rows[2]])
+    line = subspaces_within(space.field, wspace, 2)[0]
+    with pytest.raises(ValueError, match="V must be the canonical RREF matrix of a 1-space"):
+        verify_local_decodability(space, 1, 2, scaled, wspace)
+    with pytest.raises(ValueError, match="V must be the canonical RREF matrix of a 1-space"):
+        verify_local_decodability(space, 1, 2, line, wspace)
+    with pytest.raises(ValueError, match="W must be the canonical RREF matrix of a 3-space"):
+        verify_local_decodability(space, 1, 2, vspace, swapped)
+
+
 def test_gamma_l1_closed_form_matches_enumeration():
     # already covered on live spaces; spot-check the formula growth
     s = build_decoding_system(2, 1, 3)

@@ -258,7 +258,7 @@ def test_enumeration_stream_properties(family, n, q):
 )
 def test_extension_counts_and_sets(family, n, q):
     sp = standard_polar_space(family, n, q)
-    rng = random.Random(hash((family, n, q)) & 0xFFFF)
+    rng = random.Random(f"{family} {n} {q}")
     levels = {k: isotropic_kspaces(sp, k) for k in range(sp.n + 1)}
     for _ in range(8):
         t = rng.randint(0, sp.n)
@@ -323,10 +323,21 @@ def test_extension_of_full_dimension_is_identity():
 
 
 def test_extension_rejects_anisotropic_base():
+    # at call time, before any iteration
     sp = standard_polar_space("D", 2, 2)
     bad = Subspace.from_rows(4, ((1, 0, 0, 0), (0, 1, 0, 0)))
-    with pytest.raises(ValueError):
-        list(enumerate_extensions(sp, bad, 2))
+    with pytest.raises(ValueError, match="not totally isotropic"):
+        enumerate_extensions(sp, bad, 2)
+
+
+def test_extension_rejects_non_canonical_base():
+    # an isotropic point, but not by its canonical RREF matrix: the kernel
+    # would extend it to rank-deficient "lines"
+    sp = standard_polar_space("C", 2, 3)
+    scaled = Subspace.from_rows(4, ((0, 2, 0, 0),))
+    assert is_totally_isotropic(sp.form, scaled)
+    with pytest.raises(ValueError, match="canonical"):
+        enumerate_extensions(sp, scaled, 2)
 
 
 def test_maximals_through_hyperplane_match_parameter_e():
