@@ -315,6 +315,56 @@ def test_kernel_produces_each_subspace_once(monkeypatch, family, n, q):
             assert produced == [polar_count_through(sp, t, k) for k in range(t + 1, sp.n + 1)]
 
 
+def dense_form(sp, rng):
+    """The standard form of ``sp`` in a random basis A (rows A_i):
+    G'[i][c] = B(A_i, A_c), and for a quadratic form Q'(x) = Q(xA) with
+    coefficients Q(A_i) on the diagonal and B(A_i, A_c) above it."""
+    d, field, form = sp.d, sp.field, sp.form
+    while True:
+        rows = [[rng.randrange(sp.p) for _ in range(d)] for _ in range(d)]
+        if len(_pykernels.rref(bytes(x for row in rows for x in row), d, d, field)[1]) == d:
+            break
+    gram = bytes(form.bilinear(u, w) for u in rows for w in rows)
+    if form.kind != "quadratic":
+        return FormEvaluator(form.kind, field, d, gram)
+    quad = bytes(
+        (form.quadratic(u) if i == c else form.bilinear(u, rows[c])) if i <= c else 0
+        for i, u in enumerate(rows)
+        for c in range(d)
+    )
+    return FormEvaluator("quadratic", field, d, gram, quad)
+
+
+@pytest.mark.parametrize(
+    "family,n,q",
+    [
+        ("C", 2, 2),
+        ("C", 2, 3),
+        ("D", 3, 2),
+        ("B", 2, 3),
+        ("2D", 2, 2),
+        ("2A-odd", 2, 2),
+        ("2A-even", 2, 2),
+    ],
+)
+def test_kernel_under_dense_forms(family, n, q):
+    # the standard Gram matrices are antisymmetric, symmetric or the
+    # identity, so they cannot tell G from its transpose; in a random basis
+    # the form is dense and G != G^T (up to sign and conjugation only)
+    sp = standard_polar_space(family, n, q)
+    form = dense_form(sp, random.Random(f"dense {family} {n} {q}"))
+    level = [b""]
+    for j in range(sp.n):
+        raw = _pykernels.extend_level(b"".join(level), len(level), j, sp.d, form, b"")
+        sz = (j + 1) * sp.d
+        level = [raw[i : i + sz] for i in range(0, len(raw), sz)]
+        assert len(level) == polar_count(sp, j + 1)
+        for data in level:
+            child = Subspace.from_bytes(data, j + 1, sp.d)
+            assert rref_canonicalize(sp.field, child.rows, sp.d) == child
+            assert is_totally_isotropic(form, child)
+
+
 def test_extension_of_full_dimension_is_identity():
     sp = standard_polar_space("C", 2, 2)
     lines = isotropic_kspaces(sp, 2)
