@@ -3,10 +3,14 @@
 Matrices are row-major bytes of field codes.  Each kernel takes the
 ``FieldTable`` (``extend_level`` takes the form, which carries it) and reads
 its flat lookup tables once at entry (add/mul of length p*p, neg/inv/conj of
-length p).
+length p).  ``extend_level`` reads its form once too, as nonzero terms and a
+conjugation table, and never branches on the form's kind inside its loops; it
+needs canonical, totally isotropic parents and a form of the kind it names.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 
 def rref(mat, rows, cols, field):
@@ -50,6 +54,11 @@ def rref(mat, rows, cols, field):
     return bytes(a), pivots
 
 
+def _terms(mat, d):
+    """The nonzero entries (g, c, a) of a d x d row-major matrix."""
+    return [(i // d, i % d, a) for i, a in enumerate(mat) if a]
+
+
 def extend_level(mats, count, j, d, form, start_pivots):
     """One enumeration level: the isotropic (j+1)-spaces containing the
     j-spaces in ``mats``, as concatenated canonical RREF matrices, each
@@ -72,35 +81,37 @@ def extend_level(mats, count, j, d, form, start_pivots):
     leads of perp(S); the vectors leading elsewhere vanish on them and span
     the complement of S in perp(S) that vanishes on S's pivot columns.
 
-    ``form`` is the ``FormEvaluator`` on F_p^d; its field, its row-major
-    ``gram`` and ``quad`` bytes and its kind are read once at entry."""
-    field, gram, quad = form.field, form.gram, form.quad
-    hermitian, quadratic = form.kind == "hermitian", form.kind == "quadratic"
-    p, addt, mult = field.order, field.add_table, field.mul_table
-    negt, conj = field.neg_table, field.conj_table
+    ``form`` is the ``FormEvaluator`` on F_p^d, of the kind it names, with
+    ``quad`` upper triangular.  One rule, read off the form at entry, serves
+    all three kinds: with sigma the conjugation for a Hermitian form and the
+    identity otherwise, B(u, w) sums u_g a sigma(w_c) over the nonzero Gram
+    terms (g, c, a), so entry c of row i of M is sigma(sum of s_g a over the
+    terms in column c).  v is isotropic iff the same sum over the self terms
+    is 0: Q(v) over the ``quad`` terms of a quadratic form, B(v, v) over the
+    Gram terms of a Hermitian one, and no terms for an alternating one."""
+    field, kind = form.field, form.kind
+    p, addt, mult, negt = field.order, field.add_table, field.mul_table, field.neg_table
+    sigma = field.conj_table if kind == "hermitian" else bytes(range(p))
+    gterms = _terms(form.gram, d)
+    # the self terms; quad is empty for an alternating form
+    sterms = gterms if kind == "hermitian" else _terms(form.quad, d)
     out = bytearray()
     msize = j * d
     for im in range(count):
         sbase = im * msize
-        srows = [list(mats[sbase + i * d : sbase + (i + 1) * d]) for i in range(j)]
+        srows = [mats[sbase + i * d : sbase + (i + 1) * d] for i in range(j)]
         spivots = [row.index(1) for row in srows]
 
         # constraint matrix, columns reversed: new vector v must satisfy
         # B(s_i, v) = 0
-        M = bytearray(msize)
-        for i in range(j):
-            srow = srows[i]
-            for c in range(d):
-                acc = 0
-                for g in range(d):
-                    sg = srow[g]
-                    if sg:
-                        gc = gram[g * d + c]
-                        if gc:
-                            acc = addt[acc * p + mult[sg * p + gc]]
-                if hermitian:
-                    acc = conj[acc]
-                M[i * d + d - 1 - c] = acc
+        M = bytearray()
+        for srow in srows:
+            acc = [0] * d
+            for g, c, a in gterms:
+                sg = srow[g]
+                if sg:
+                    acc[c] = addt[acc[c] * p + mult[sg * p + a]]
+            M.extend(sigma[x] for x in reversed(acc))
         Mb, pivots = rref(bytes(M), j, d, field)
 
         # the RREF rows of perp(S) that lead outside S's pivots, in
@@ -125,6 +136,7 @@ def extend_level(mats, count, j, d, form, start_pivots):
             lead, first = comp[idx]
             if lead >= bound:
                 break
+            at = bisect_left(spivots, lead)
             nfree = nc - 1 - idx
             for it in range(p**nfree):
                 v = first[:]
@@ -139,54 +151,22 @@ def extend_level(mats, count, j, d, form, start_pivots):
                             if rc:
                                 v[c] = addt[v[c] * p + mult[ci * p + rc]]
 
-                if hermitian:
-                    acc = 0
-                    for c in range(d):
-                        cv = conj[v[c]]
-                        if cv:
-                            gv = 0
-                            for g in range(d):
-                                vg = v[g]
-                                if vg:
-                                    gc = gram[g * d + c]
-                                    if gc:
-                                        gv = addt[gv * p + mult[vg * p + gc]]
-                            acc = addt[acc * p + mult[gv * p + cv]]
-                    if acc:
-                        continue
-                elif quadratic:
-                    acc = 0
-                    for i in range(d):
-                        vi = v[i]
-                        if vi:
-                            for c in range(i, d):
-                                qc = quad[i * d + c]
-                                if qc and v[c]:
-                                    acc = addt[acc * p + mult[mult[vi * p + v[c]] * p + qc]]
-                    if acc:
-                        continue
+                acc = 0
+                for g, c, a in sterms:
+                    vg, vc = v[g], v[c]
+                    if vg and vc:
+                        acc = addt[acc * p + mult[mult[vg * p + a] * p + sigma[vc]]]
+                if acc:
+                    continue
 
-                # canonical insertion of v into S; a no-op for walks from the
-                # zero space, where v leads before every row of S
-                new_rows = []
-                inserted = False
-                for pv, row in zip(spivots, srows):
-                    if not inserted and lead < pv:
-                        new_rows.append(v)
-                        inserted = True
-                    nr = row[:]
-                    f = nr[lead]
-                    if f:
-                        nf = negt[f]
-                        for c in range(lead, d):
-                            vc = v[c]
-                            if vc:
-                                nr[c] = addt[nr[c] * p + mult[vc * p + nf]]
-                    new_rows.append(nr)
-                if not inserted:
-                    new_rows.append(v)
-                for row in new_rows:
-                    out.extend(row)
+                # canonical insertion of v, which leads at `lead` with a 1
+                # and vanishes on S's pivots: the rows leading before it lose
+                # their entry at `lead`, the rows after it are zero there
+                for row in srows[:at]:
+                    nf = negt[row[lead]]
+                    out.extend([addt[x * p + mult[y * p + nf]] for x, y in zip(row, v)])
+                out.extend(v)
+                out.extend(mats[sbase + at * d : sbase + msize])
     return bytes(out)
 
 

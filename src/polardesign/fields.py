@@ -10,6 +10,7 @@ multiplicative identities, so all tables are reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 FIELD_ORDER_CAP = 32
 
@@ -253,23 +254,24 @@ def make_field(p: int) -> FieldTable:
 
 
 def verify_field_axioms(field: FieldTable) -> None:
-    """Exhaustive check of the field axioms; raises AssertionError on failure."""
-    p = field.order
+    """Exhaustive check of the field axioms; raises AssertionError naming the
+    first axiom that fails and the elements it fails at."""
+    p, add, mul = field.order, field.add, field.mul
+
+    def holds(ok, axiom, *els):
+        if not ok:
+            raise AssertionError(f"F_{p}: {axiom} fails at {els}")
+
     els = range(p)
     for a in els:
-        assert field.add(a, 0) == a and field.mul(a, 1) == a and field.mul(a, 0) == 0
-        assert field.add(a, field.neg(a)) == 0
+        holds(add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0, "identities", a)
+        holds(add(a, field.neg(a)) == 0, "additive inverse", a)
         if a:
-            assert field.mul(a, field.inv(a)) == 1
-    for a in els:
-        for b in els:
-            assert field.add(a, b) == field.add(b, a)
-            assert field.mul(a, b) == field.mul(b, a)
-    for a in els:
-        for b in els:
-            for c in els:
-                assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-                assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-                assert field.mul(a, field.add(b, c)) == field.add(
-                    field.mul(a, b), field.mul(a, c)
-                )
+            holds(mul(a, field.inv(a)) == 1, "multiplicative inverse", a)
+    for a, b in product(els, repeat=2):
+        holds(add(a, b) == add(b, a), "additive commutativity", a, b)
+        holds(mul(a, b) == mul(b, a), "multiplicative commutativity", a, b)
+    for a, b, c in product(els, repeat=3):
+        holds(add(add(a, b), c) == add(a, add(b, c)), "additive associativity", a, b, c)
+        holds(mul(mul(a, b), c) == mul(a, mul(b, c)), "multiplicative associativity", a, b, c)
+        holds(mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), "distributivity", a, b, c)

@@ -35,7 +35,7 @@ class FormEvaluator:
     ``gram`` is the bilinear (for quadratic: polar) Gram matrix; quadratic
     forms additionally carry their upper-triangular coefficient matrix
     ``quad``.  Both are d x d row-major bytes of field codes, the layout the
-    kernels read.
+    kernels read; ValueError unless they define a nondegenerate ``kind`` form.
     """
 
     def __init__(self, kind: str, field: FieldTable, d: int, gram, quad=b""):
@@ -53,8 +53,17 @@ class FormEvaluator:
         self._validate()
 
     def _validate(self):
-        d, f = self.dimension, self.field
-        red, pivots = kernels.rref(self.gram, d, d, f)
+        d, f, g, q = self.dimension, self.field, self.gram, self.quad
+        cells = [(i * d + c, c * d + i) for i in range(d) for c in range(d)]
+        if self.kind == "alternating":
+            bad = any(g[ci] != f.neg(g[ic]) or (ic == ci and g[ic]) for ic, ci in cells)
+        elif self.kind == "hermitian":
+            bad = any(g[ci] != f.conjugate(g[ic]) for ic, ci in cells)
+        else:  # quad upper triangular, gram its polar form quad + quad^T
+            bad = any(g[ic] != f.add(q[ic], q[ci]) or (ic > ci and q[ic]) for ic, ci in cells)
+        if bad:
+            raise ValueError(f"the matrices do not define a {self.kind} form")
+        red, pivots = kernels.rref(g, d, d, f)
         rank = len(pivots)
         if self.kind in ("alternating", "hermitian"):
             if rank != d:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from math import isqrt
 
 import pytest
@@ -59,6 +62,24 @@ def test_prime_power_split_refuses_roots_above_the_witness_bound():
 @pytest.mark.parametrize("p", ALL_ORDERS)
 def test_axioms_exhaustive(p):
     verify_field_axioms(make_field(p))
+
+
+def test_axiom_check_rejects_a_ring_under_python_O():
+    # Z/4 is no field (2 has no inverse); the check must not be an assert,
+    # which -O strips
+    script = (
+        "from polardesign.fields import FieldTable, verify_field_axioms\n"
+        "add = bytes((a + b) % 4 for a in range(4) for b in range(4))\n"
+        "mul = bytes(a * b % 4 for a in range(4) for b in range(4))\n"
+        "verify_field_axioms(FieldTable(4, 2, 2, None, add, mul))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode != 0
+    assert "AssertionError: F_4: multiplicative inverse fails at (2,)" in run.stderr
 
 
 @pytest.mark.parametrize("bad", [0, 1, 6, 10, 12, 15, 33, 64])

@@ -176,6 +176,17 @@ def test_form_evaluator_rejections():
         FormEvaluator("hermitian", make_field(3), 2, bytes((1, 0, 0, 1)))
     with pytest.raises(ValueError, match="degenerate bilinear form"):
         FormEvaluator("alternating", f2, 2, bytes(4))
+    # matrices of another kind: x1y1 + x2y2 over F_3 is symmetric, not
+    # alternating; over F_4, B(e1, e2) = 2 but B(e2, e1) = 0; and a Gram
+    # matrix that is not quad + quad^T, or a quad below its diagonal
+    with pytest.raises(ValueError, match="alternating form"):
+        FormEvaluator("alternating", make_field(3), 2, bytes((1, 0, 0, 1)))
+    with pytest.raises(ValueError, match="hermitian form"):
+        FormEvaluator("hermitian", make_field(4), 2, bytes((1, 2, 0, 1)))
+    with pytest.raises(ValueError, match="quadratic form"):
+        FormEvaluator("quadratic", make_field(3), 2, hyperbolic, bytes((1, 1, 0, 0)))
+    with pytest.raises(ValueError, match="quadratic form"):
+        FormEvaluator("quadratic", f2, 2, hyperbolic, bytes((0, 0, 1, 0)))
     # Q = x1^2 on F_2^2: its polar form is zero and Q(e2) = 0
     with pytest.raises(ValueError, match="degenerate quadratic form"):
         FormEvaluator("quadratic", f2, 2, bytes(4), bytes((1, 0, 0, 0)))
