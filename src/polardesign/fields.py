@@ -254,24 +254,26 @@ def make_field(p: int) -> FieldTable:
 
 
 def verify_field_axioms(field: FieldTable) -> None:
-    """Exhaustive check of the field axioms; raises AssertionError naming the
-    first axiom that fails and the elements it fails at."""
-    p, add, mul = field.order, field.add, field.mul
+    """Exhaustive check of the field axioms on the add and mul tables, read as
+    rows add[a][b] = a + b; raises AssertionError naming the first axiom that
+    fails and the elements it fails at."""
+    p, els = field.order, range(field.order)
+    add = [field.add_table[a * p : a * p + p] for a in els]
+    mul = [field.mul_table[a * p : a * p + p] for a in els]
 
-    def holds(ok, axiom, *els):
+    def holds(ok, axiom, *at):
         if not ok:
-            raise AssertionError(f"F_{p}: {axiom} fails at {els}")
+            raise AssertionError(f"F_{p}: {axiom} fails at {at}")
 
-    els = range(p)
     for a in els:
-        holds(add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0, "identities", a)
-        holds(add(a, field.neg(a)) == 0, "additive inverse", a)
+        holds(add[a][0] == a and mul[a][1] == a and mul[a][0] == 0, "identities", a)
+        holds(add[a][field.neg(a)] == 0, "additive inverse", a)
         if a:
-            holds(mul(a, field.inv(a)) == 1, "multiplicative inverse", a)
+            holds(mul[a][field.inv(a)] == 1, "multiplicative inverse", a)
     for a, b in product(els, repeat=2):
-        holds(add(a, b) == add(b, a), "additive commutativity", a, b)
-        holds(mul(a, b) == mul(b, a), "multiplicative commutativity", a, b)
+        holds(add[a][b] == add[b][a], "additive commutativity", a, b)
+        holds(mul[a][b] == mul[b][a], "multiplicative commutativity", a, b)
     for a, b, c in product(els, repeat=3):
-        holds(add(add(a, b), c) == add(a, add(b, c)), "additive associativity", a, b, c)
-        holds(mul(mul(a, b), c) == mul(a, mul(b, c)), "multiplicative associativity", a, b, c)
-        holds(mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), "distributivity", a, b, c)
+        holds(add[add[a][b]][c] == add[a][add[b][c]], "additive associativity", a, b, c)
+        holds(mul[mul[a][b]][c] == mul[a][mul[b][c]], "multiplicative associativity", a, b, c)
+        holds(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], "distributivity", a, b, c)

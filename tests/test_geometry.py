@@ -360,8 +360,8 @@ def dense_form(sp, rng):
 )
 def test_kernel_under_dense_forms(family, n, q):
     # the standard Gram matrices are antisymmetric, symmetric or the
-    # identity, so they cannot tell G from its transpose; in a random basis
-    # the form is dense and G != G^T (up to sign and conjugation only)
+    # identity, so a kernel that read G transposed would pass on them; in a
+    # random basis every form is dense and a Hermitian G is not symmetric
     sp = standard_polar_space(family, n, q)
     form = dense_form(sp, random.Random(f"dense {family} {n} {q}"))
     level = [b""]
