@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -73,8 +74,7 @@ def test_axiom_check_rejects_a_ring_under_python_O():
         "mul = bytes(a * b % 4 for a in range(4) for b in range(4))\n"
         "verify_field_axioms(FieldTable(4, 2, 2, None, add, mul))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     run = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
