@@ -20,7 +20,6 @@ from .decode import (
     DecodingSystem,
     build_decoding_system,
     determinant_bound_check,
-    gamma_value,
     verify_local_decodability,
 )
 from .fields import FieldTable, make_field
@@ -80,7 +79,6 @@ __all__ = [
     "enumerate_extensions",
     "feasibility_report",
     "find_design",
-    "gamma_value",
     "gaussian_binomial",
     "is_totally_isotropic",
     "isotropic_kspaces",

@@ -229,7 +229,7 @@ def _cmd_decode(args) -> int:
             "t": args.t,
             "k": args.k,
             "D": [[decimal_string(x) for x in row] for row in system.matrix],
-            "detD": decimal_string(system.det),
+            "detD": decimal_string(system.m),
             "detDj": [decimal_string(x) for x in system.det_cols],
             "f": [decimal_string(x) for x in system.f],
             "m": decimal_string(system.m),

@@ -57,13 +57,13 @@ def _det_exact(rows: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class DecodingSystem:
-    """Upper-triangular system D f = (0, .., 0, m)^T with integer solution."""
+    """Upper-triangular system D f = (0, .., 0, m)^T with integer solution,
+    where m = det D."""
 
     p: int
     t: int
     k: int
     matrix: tuple[tuple[int, ...], ...]
-    det: int
     det_cols: tuple[int, ...]
     f: tuple[int, ...]
     m: int
@@ -80,13 +80,14 @@ def build_decoding_system(p: int, t: int, k: int) -> DecodingSystem:
         tuple(fixed_intersection_count(p, k, t, ell, j) for j in range(size)) for ell in range(size)
     )
 
-    det = 1
+    # m = det D, the product of the diagonal; each entry is a positive count
+    m = 1
     for i in range(size):
-        det *= matrix[i][i]
+        m *= matrix[i][i]
 
-    # integer back-substitution on D f = (0, .., 0, det)^T
+    # integer back-substitution on D f = (0, .., 0, m)^T
     f = [0] * size
-    quotient, remainder = divmod(det, matrix[t][t])
+    quotient, remainder = divmod(m, matrix[t][t])
     if remainder:
         raise AssertionError("m is not divisible by the last diagonal entry")
     f[t] = quotient
@@ -108,13 +109,11 @@ def build_decoding_system(p: int, t: int, k: int) -> DecodingSystem:
     if list(det_cols) != f:
         raise AssertionError("back-substitution and column determinants disagree")
 
-    m = det  # each diagonal entry is a positive count, so det > 0
     return DecodingSystem(
         p=p,
         t=t,
         k=k,
         matrix=matrix,
-        det=det,
         det_cols=tuple(det_cols),
         f=tuple(f),
         m=m,
@@ -137,7 +136,7 @@ class DeterminantBoundReport:
 def determinant_bound_check(system: DecodingSystem) -> DeterminantBoundReport:
     """Exact-integer comparison of |det D|, |det D_j| against the bound."""
     bound = determinant_bound(system)
-    det_margin = bound - abs(system.det)
+    det_margin = bound - system.m
     col_margins = tuple(bound - abs(x) for x in system.det_cols)
     ok = det_margin >= 0 and all(mg >= 0 for mg in col_margins)
     return DeterminantBoundReport(
@@ -158,30 +157,6 @@ def gamma_l1_exact(system: DecodingSystem) -> int:
         )
         total += abs(system.f[j]) * count
     return total
-
-
-def gamma_value(
-    space: PolarSpace,
-    system: DecodingSystem,
-    tspace: Subspace,
-    wspace: Subspace,
-    kspace: Subspace,
-) -> int:
-    """gamma_V(U): f(dim(U cap V)) on k-subspaces of W, zero elsewhere."""
-    t, k = system.t, system.k
-    if tspace.k != t or kspace.k != k or wspace.k != k + t:
-        raise ValueError("dimension mismatch against the decoding system")
-    if space.p != system.p:
-        raise ValueError("field order mismatch")
-    if k + t > space.n:
-        raise ValueError("needs t + k <= rank for an isotropic (k+t)-space")
-    if not subspace_contains(space.field, wspace, tspace):
-        raise ValueError("V must be contained in W")
-    if not is_totally_isotropic(space.form, wspace):
-        raise ValueError("W must be totally isotropic")
-    if not subspace_contains(space.field, wspace, kspace):
-        return 0
-    return system.f[intersection_dimension(space.field, kspace, tspace)]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Iterator
 
 from . import _pykernels as kernels
+from .counting import polar_count_through
 from .fields import FieldTable, make_field
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -50,6 +51,8 @@ class FormEvaluator:
         self.dimension = d
         self.gram = bytes(gram)
         self.quad = bytes(quad)
+        if max(self.gram + self.quad, default=0) >= field.order:
+            raise ValueError("entry outside field code range")
         self._validate()
 
     def _validate(self):
@@ -279,14 +282,6 @@ def is_totally_isotropic(form: FormEvaluator, subspace: Subspace) -> bool:
     return True
 
 
-def _level_counts(space, k, start_k, start=None):
-    from . import counting
-
-    if start is None:
-        return [counting.polar_count(space, j) for j in range(k + 1)]
-    return [counting.polar_count_through(space, start_k, j) for j in range(start_k, k + 1)]
-
-
 _LEVEL_CACHE: dict[tuple, list[bytes]] = {}
 
 
@@ -312,27 +307,26 @@ def _extend_level(space, level, j, start_pivots):
 
 def _final_level(space, k, budget, start: Subspace | None = None):
     """Canonical bytes of every totally isotropic k-space (containing
-    ``start`` if given), via level-by-level perp extension.  Full levels are
-    memoized, and a full walk resumes from the deepest cached level; the
-    budget is enforced against cached results too."""
+    ``start`` if given), via level-by-level perp extension.  Every level the
+    walk passes through, from the base (the zero space or ``start``) to k,
+    is held to the budget by its closed-form size before the cache is read,
+    so the verdict does not depend on what is cached.  Full levels are
+    memoized once they pass the produced-size check, and a full walk resumes
+    from the deepest cached level."""
+    base = 0 if start is None else start.k
+    for j in range(base, k + 1):
+        # name the level, not its predicted size, which str() refuses past 4300 digits
+        if polar_count_through(space, base, j) > budget:
+            raise BudgetExceededError(f"level {j} is predicted to exceed budget {budget}")
     if start is None:
         cached = _LEVEL_CACHE.get((space, k))
         if cached is not None:
-            if len(cached) > budget:
-                raise BudgetExceededError(
-                    f"level {k} holds {len(cached)} subspaces, budget {budget}"
-                )
             return cached
         j0 = max((j for j in range(1, k) if (space, j) in _LEVEL_CACHE), default=0)
         level = _LEVEL_CACHE[(space, j0)] if j0 else [b""]
     else:
-        level, j0 = [start.data], start.k
+        level, j0 = [start.data], base
         start_pivots = bytes(next(c for c, x in enumerate(row) if x) for row in start.rows)
-    # name the level, not its predicted size, which str() refuses past 4300 digits
-    first = 0 if start is None else j0
-    for j, predicted in enumerate(_level_counts(space, k, j0, start), first):
-        if predicted > budget:
-            raise BudgetExceededError(f"level {j} is predicted to exceed budget {budget}")
     for j in range(j0, k):
         if start is None:
             level = _extend_once(space, level, j)

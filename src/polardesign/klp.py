@@ -121,7 +121,7 @@ def klp_budget(
         ("2c2c4A<=80p^(2nt+kt+k(t+1)^2)", c3 <= c3_coarse),
         ("A<=10p^(2nt)", count_a <= a_coarse),
         ("X>=p^(2nk-ceil(3k^2/2))", count_x >= x_lower),
-        ("c1_witness<=|detD||A|", c1_witness <= abs(system.det) * count_a),
+        ("c1_witness<=|detD||A|", c1_witness <= m * count_a),
     )
     return KlpBudget(
         family=space.family,

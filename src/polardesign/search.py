@@ -14,7 +14,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .counting import gaussian_binomial, polar_count, polar_count_through
+from .counting import polar_count, polar_count_through
 from .geometry import (
     DEFAULT_ENUMERATION_BUDGET,
     PolarSpace,
@@ -223,13 +223,11 @@ def find_design(problem: SearchProblem):
     if problem.method not in ("exact-cover", "randomized-greedy-with-backtracking"):
         raise ValueError(f"unknown method {problem.method!r}")
 
+    # lam*|X|/N(t->k) blocks; it equals lam*|A|/[k t]_p by double counting,
+    # and is at least 1 since |X| >= N(t->k)
     count_x = polar_count(space, k)
     through = polar_count_through(space, t, k)
-    count_a = polar_count(space, t)
-    per_block = gaussian_binomial(k, t, space.p)
-    blocks_needed, rem = divmod(lam * count_x, through)
-    blocks_needed2, rem2 = divmod(lam * count_a, per_block)
-    if rem or rem2 or blocks_needed != blocks_needed2 or blocks_needed < 1:
+    if lam * count_x % through:
         raise DivisibilityError(
             f"no {t}-({space.n},{k},{lam}) design can exist: block count "
             f"{lam}*{count_x}/{through} is not a positive integer"
@@ -274,7 +272,7 @@ def find_design(problem: SearchProblem):
             "nodes": nodes,
         },
     )
-    # report.ok includes lambda_ratio's check, which holds only for blocks_needed blocks
+    # report.ok includes lambda_ratio's check, which holds only for lam*|X|/N(t->k) blocks
     report = verify_design(instance, problem.enumeration_budget)
     if not report.ok:
         raise AssertionError(f"search produced an invalid design: {report}")

@@ -105,7 +105,8 @@ def naive_intersection_dimension(field, a: Subspace, b: Subspace) -> int:
     dim = 0
     while field.order**dim < common:
         dim += 1
-    assert field.order**dim == common
+    if field.order**dim != common:  # raised, not asserted, so it holds under python -O
+        raise AssertionError(f"{common} common vectors are no power of {field.order}")
     return dim
 
 

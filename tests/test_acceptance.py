@@ -119,7 +119,7 @@ def test_criterion_3_decoding_systems():
                     and product == [0] * t + [s.m]
                     and s.f == s.det_cols
                     and s.m == s.f[t] * gaussian_binomial(k, t, p)
-                    and abs(s.det) <= bound
+                    and abs(s.m) <= bound
                     and all(abs(x) <= bound for x in s.det_cols)
                 )
                 if not checks:

@@ -10,7 +10,6 @@ from polardesign.decode import (
     build_decoding_system,
     determinant_bound_check,
     gamma_l1_exact,
-    gamma_value,
     verify_local_decodability,
 )
 from polardesign.fields import make_field
@@ -28,7 +27,7 @@ from polardesign.geometry import (
 def test_worked_system_p2_t1_k2():
     s = build_decoding_system(2, 1, 2)
     assert s.matrix == ((2, 1), (0, 3))
-    assert s.det == 6 and s.m == 6
+    assert s.m == 6
     assert s.f == (-1, 2)
     assert s.det_cols == (-1, 2)
     assert 2 * (-1) + 1 * 2 == 0 and 2 * gaussian_binomial(2, 1, 2) == 6
@@ -37,7 +36,7 @@ def test_worked_system_p2_t1_k2():
 def test_worked_system_p2_t1_k3():
     s = build_decoding_system(2, 1, 3)
     assert s.matrix == ((4, 3), (0, 7))
-    assert s.det == 28 and s.m == 28 and s.f == (-3, 4)
+    assert s.m == 28 and s.f == (-3, 4)
 
 
 def test_t_equals_k_collapses():
@@ -79,7 +78,7 @@ def test_system_invariants_sweep(p):
             assert s.m == s.f[t] * gaussian_binomial(k, t, p)
             assert s.m > 0
             bound = p ** (k * (t + 1) ** 2)
-            assert abs(s.det) <= bound
+            assert abs(s.m) <= bound
             assert all(abs(x) <= bound for x in s.det_cols)
 
 
@@ -124,40 +123,6 @@ def test_fixed_intersection_bruteforce_inside_polar_space():
                 histogram[j] = histogram.get(j, 0) + 1
         for j in range(ell, t + 1):
             assert histogram.get(j, 0) == fixed_intersection_count(space.p, k, t, ell, j)
-
-
-def test_gamma_value_examples():
-    space = standard_polar_space("C", 3, 2)
-    system = build_decoding_system(2, 1, 2)
-    points = isotropic_kspaces(space, 1)
-    vspace = points[0]
-    wspace = next(iter(enumerate_extensions(space, vspace, 3)))
-    lines = isotropic_kspaces(space, 2)
-    outside = next(u for u in lines if not subspace_contains(space.field, wspace, u))
-    assert gamma_value(space, system, vspace, wspace, outside) == 0
-    inside = subspaces_within(space.field, wspace, 2)
-    through = next(u for u in inside if subspace_contains(space.field, u, vspace))
-    avoiding = next(
-        u
-        for u in inside
-        if intersection_dimension(space.field, u, vspace) == 0
-    )
-    assert gamma_value(space, system, vspace, wspace, through) == 2
-    assert gamma_value(space, system, vspace, wspace, avoiding) == -1
-
-
-def test_gamma_value_validates_inputs():
-    space = standard_polar_space("C", 3, 2)
-    system = build_decoding_system(2, 1, 2)
-    points = isotropic_kspaces(space, 1)
-    vspace = points[0]
-    wspace = next(iter(enumerate_extensions(space, vspace, 3)))
-    lines = isotropic_kspaces(space, 2)
-    with pytest.raises(ValueError):
-        gamma_value(space, system, lines[0], wspace, lines[0])
-    other = next(p for p in points if not subspace_contains(space.field, wspace, p))
-    with pytest.raises(ValueError):
-        gamma_value(space, system, other, wspace, lines[0])
 
 
 @pytest.mark.parametrize("family", ["C", "B"])
@@ -236,6 +201,15 @@ def test_local_decodability_rejects_non_canonical_subspaces():
         verify_local_decodability(space, 1, 2, line, wspace)
     with pytest.raises(ValueError, match="W must be the canonical RREF matrix of a 3-space"):
         verify_local_decodability(space, 1, 2, vspace, swapped)
+    # canonical, but V = <e4 + e6> against a W without e1, and against
+    # <e1, e2, V>, which is not totally isotropic since f(e1, e2) = 1
+    assert vspace.rows == ((0, 0, 0, 1, 0, 1),)
+    point = Subspace.from_rows(space.d, [(1, 0, 0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="V must be contained in W"):
+        verify_local_decodability(space, 1, 2, point, wspace)
+    hyperbolic = Subspace.from_rows(space.d, [point.rows[0], (0, 1, 0, 0, 0, 0), vspace.rows[0]])
+    with pytest.raises(ValueError, match="W must be totally isotropic"):
+        verify_local_decodability(space, 1, 2, vspace, hyperbolic)
 
 
 def test_gamma_l1_closed_form_matches_enumeration():

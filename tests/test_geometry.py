@@ -176,6 +176,13 @@ def test_form_evaluator_rejections():
         FormEvaluator("hermitian", make_field(3), 2, bytes((1, 0, 0, 1)))
     with pytest.raises(ValueError, match="degenerate bilinear form"):
         FormEvaluator("alternating", f2, 2, bytes(4))
+    # codes at or past the field order, in the Gram or the coefficient matrix
+    with pytest.raises(ValueError, match="entry outside field code range"):
+        FormEvaluator("alternating", make_field(3), 2, bytes((0, 5, 1, 0)))
+    with pytest.raises(ValueError, match="entry outside field code range"):
+        FormEvaluator("hermitian", make_field(4), 1, bytes((7,)))
+    with pytest.raises(ValueError, match="entry outside field code range"):
+        FormEvaluator("quadratic", f2, 2, hyperbolic, bytes((0, 2, 0, 0)))
     # matrices of another kind: x1y1 + x2y2 over F_3 is symmetric, not
     # alternating; over F_4, B(e1, e2) = 2 but B(e2, e1) = 0; and a Gram
     # matrix that is not quad + quad^T, or a quad below its diagonal
@@ -500,6 +507,21 @@ def test_budget_exhaustion_raises():
     sp = standard_polar_space("C", 3, 2)
     with pytest.raises(BudgetExceededError):
         isotropic_kspaces(sp, 2, budget=10)
+
+
+def test_budget_verdict_does_not_depend_on_the_level_cache():
+    # C_3 over F_2 has levels of 1, 63, 315 and 135 subspaces: a walk to
+    # level 3 passes level 2, over budget 200, whether level 3 is cached or not
+    sp = standard_polar_space("C", 3, 2)
+    clear_enumeration_cache()
+    try:
+        with pytest.raises(BudgetExceededError, match="level 2 is predicted to exceed budget 200"):
+            isotropic_kspaces(sp, 3, 200)
+        assert len(isotropic_kspaces(sp, 3)) == 135
+        with pytest.raises(BudgetExceededError, match="level 2 is predicted to exceed budget 200"):
+            isotropic_kspaces(sp, 3, 200)
+    finally:
+        clear_enumeration_cache()
 
 
 def test_k_range_validated():

@@ -4,8 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from polardesign.counting import gaussian_binomial, polar_count_through
-from polardesign.geometry import isotropic_kspaces, standard_polar_space
+from polardesign.counting import gaussian_binomial, polar_count, polar_count_through
+from polardesign.geometry import (
+    FAMILY_NAMES,
+    BudgetExceededError,
+    isotropic_kspaces,
+    standard_polar_space,
+)
 from polardesign.incidence import design_to_json, verify_design
 from polardesign.search import (
     DivisibilityError,
@@ -112,6 +117,35 @@ def test_divisibility_precondition_blocks_search():
     space = standard_polar_space("C", 5, 2)
     with pytest.raises(DivisibilityError):
         find_design(SearchProblem(space=space, t=1, k=3, lam=1))
+
+
+def test_divisibility_rule_matches_the_two_count_rule():
+    # find_design's one count lam*|X|/N(t->k) against the rule written with
+    # both counts: it and lam*|A|/[k t]_p must be one positive integer.  A
+    # case that passes the rule goes on to enumerate its levels, which an
+    # enumeration budget of 0 stops at once.
+    rejected = 0
+    for family in FAMILY_NAMES:
+        for n in (1, 2, 3):
+            space = standard_polar_space(family, n, 2)
+            for k in range(n + 1):
+                for t in range(k + 1):
+                    for lam in range(1, 5):
+                        blocks, rem = divmod(
+                            lam * polar_count(space, k), polar_count_through(space, t, k)
+                        )
+                        blocks2, rem2 = divmod(
+                            lam * polar_count(space, t), gaussian_binomial(k, t, space.p)
+                        )
+                        rejects = bool(rem or rem2 or blocks != blocks2 or blocks < 1)
+                        rejected += rejects
+                        problem = SearchProblem(
+                            space=space, t=t, k=k, lam=lam, node_budget=0, enumeration_budget=0
+                        )
+                        expected = DivisibilityError if rejects else BudgetExceededError
+                        with pytest.raises(expected):
+                            find_design(problem)
+    assert rejected == 14
 
 
 def test_budget_exhaustion_is_reported():
