@@ -6,12 +6,15 @@ Row ell < t of D counts, inside a totally isotropic (k+t)-space W, the
 k-subspaces through a second t-space V' meeting the fixed t-space V in a
 j-dimensional subspace; row t pins f(t)*[k t]_p = m.  The system is solved
 twice - integer back-substitution and independent column determinants - and
-both answers must agree exactly.
+both answers must agree exactly.  The system depends on (p, t, k) alone, so
+``build_decoding_system`` is memoised: it builds and cross-checks each system
+once per (p, t, k) per process and returns that same frozen object after.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .counting import gaussian_binomial, fixed_intersection_count, polar_count
@@ -69,8 +72,11 @@ class DecodingSystem:
     m: int
 
 
+@lru_cache(maxsize=None)
 def build_decoding_system(p: int, t: int, k: int) -> DecodingSystem:
-    """Assemble D from the fixed-intersection counts and solve exactly."""
+    """Assemble D from the fixed-intersection counts and solve exactly.
+    Memoised per (p, t, k); invalid input raises on every call, since the
+    cache stores no exception."""
     if not 1 <= t <= k:
         raise ValueError("need 1 <= t <= k (the diagonal of D must be nonzero)")
     if prime_power_split(p) is None:

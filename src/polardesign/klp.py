@@ -25,10 +25,6 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _ceil_fraction(fr: Fraction) -> int:
-    return -((-fr.numerator) // fr.denominator)
-
-
 @dataclass(frozen=True)
 class KlpBudget:
     """Exact witnesses and coarse closed-form caps for c1..c4, |A|, dim L
@@ -40,7 +36,13 @@ class KlpBudget:
     the hyperbolic one (e = -1, where that derivation gives only
     p^(2nk - k(3k+1)/2)).  Its flag ``X>=p^(2nk-ceil(3k^2/2))`` compares
     ``count_kspaces`` against it, so on the hyperbolic family it can be
-    False."""
+    False.
+
+    The flag ``c1_witness<=|detD||A|`` holds by definition: c1 is reported
+    as its upper witness m*|A|, not the least divisibility constant, so the
+    flag compares that witness with itself.  It stays until the least c1 is
+    computed (a separate ``lattice`` computation, planned); its name and
+    value are unchanged, because the layerbench digests cover them."""
 
     family: str
     n: int
@@ -111,8 +113,9 @@ def klp_budget(
 
     dim_l = count_a
     log_term = ceil_log2(2 * c3 * dim_l)
-    n_threshold = _ceil_fraction(constant * c3**2 * dim_l**6 * log_term**6)
-    relaxed = _ceil_fraction(c_prime * c3**3 * dim_l**7)
+    # ceil(C * X) for C = a/b is -((-a * X) // b), all in integers
+    n_threshold = -((-constant.numerator * c3**2 * dim_l**6 * log_term**6) // constant.denominator)
+    relaxed = -((-c_prime.numerator * c3**3 * dim_l**7) // c_prime.denominator)
     cap = p ** (21 * n * t)
 
     inequalities = (

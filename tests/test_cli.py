@@ -481,6 +481,8 @@ _README_SEARCH = "search --family C --q 2 --n 3 --t 1 --k 3 --lambda 1 --output 
          "6012c36708a9591064e4cb4fe693f8c0d03878c0e7e2cc2706493ca7d2e79359"),
         ("klp-report --family C --q 2 --n 3 --t 1 --k 2 --constant 1", 0,
          "5ef8ddac985b49a1bf290ee5d743d5c1b74a7be96426e6dc9969d32d4d6082c8"),
+        ("klp-report --family C --q 2 --n 3 --t 1 --k 2 --constant 3/2 --c-prime 2/3", 0,
+         "c0c85c8cb283ea8731b37fcb14e62b9f7563b55ad847b6cf2cbc2a3a2d0a57c0"),
         (_README_SEARCH, 0,
          "9d343258ef22658987f86910023bde3ae4e19530d4527d56fb9a22f7b8668a62"),
         ("verify-design spread.json", 0,

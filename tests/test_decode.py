@@ -59,6 +59,20 @@ def test_invalid_parameters():
             build_decoding_system(p, 1, 2)
 
 
+def test_system_is_built_once_per_parameters():
+    first = build_decoding_system(3, 2, 4)
+    assert build_decoding_system(3, 2, 4) is first
+    assert build_decoding_system(3, 1, 4) is not first
+
+
+def test_invalid_parameters_raise_on_every_call():
+    # the memo stores no exception, so a repeated bad call raises again
+    for args in ((6, 1, 2), (2, 0, 2)):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                build_decoding_system(*args)
+
+
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 9, 25])
 def test_system_invariants_sweep(p):
     for t in range(1, 7):

@@ -1,7 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_klp_thresholds
 from polardesign.counting import (
     gaussian_binomial,
     polar_count,
@@ -24,6 +29,29 @@ def _sweep():
                 for k in range(t, 7):
                     for n in range(t + k, 13):
                         yield standard_polar_space(family, n, q), t, k
+
+
+def _report_grid():
+    # six families, p <= 4, n <= 9, t <= 2: every k with t <= k <= n - t
+    for p in (2, 3, 4):
+        for family in ("2A-odd", "2A-even", "B", "C", "D", "2D"):
+            hermitian = family.startswith("2A")
+            if hermitian and p != 4:
+                continue
+            q = 2 if hermitian else p
+            for n in range(2, 10):
+                space = standard_polar_space(family, n, q)
+                for t in (1, 2):
+                    for k in range(t, n - t + 1):
+                        yield space, t, k
+
+
+def _reports_digest(constant, c_prime):
+    digest = hashlib.sha256()
+    for space, t, k in _report_grid():
+        report = feasibility_report(space, t, k, constant, c_prime)
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def test_ceil_log2():
@@ -169,3 +197,38 @@ def test_n_threshold_exact_value_small_case():
     log_term = ceil_log2(2 * c3 * dim_l)
     assert budget.log_term == log_term
     assert budget.n_threshold == c3**2 * dim_l**6 * log_term**6
+
+
+@pytest.mark.parametrize(
+    "constant,c_prime,digest",
+    [
+        (1, 1,
+         "b79b4f254b437a703f888178068fdb9c34243c0be58dba0c6c608a5e59f777ca"),
+        (Fraction(3, 2), Fraction(2, 3),
+         "91990535ba6f6c12e7a8068d93748a87a0236a5fc606fc6c4e10a456260d7bd2"),
+    ],
+)  # fmt: skip
+def test_feasibility_reports_are_pinned(constant, c_prime, digest):
+    # every field of every report on the grid; the digests were taken from
+    # the Fraction-product thresholds that the integer ceilings replaced
+    assert _reports_digest(constant, c_prime) == digest
+
+
+_SWEEP = list(_sweep())
+_POSITIVE_FRACTIONS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    case=st.sampled_from(_SWEEP),
+    constant=_POSITIVE_FRACTIONS,
+    c_prime=_POSITIVE_FRACTIONS,
+)
+@example(case=_SWEEP[0], constant=Fraction(1, 3), c_prime=Fraction(3, 2))
+@example(case=_SWEEP[-1], constant=Fraction(7, 5), c_prime=Fraction(1, 3))
+@example(case=_SWEEP[len(_SWEEP) // 2], constant=Fraction(3, 2), c_prime=Fraction(7, 5))
+def test_thresholds_match_the_fraction_products(case, constant, c_prime):
+    space, t, k = case
+    budget = klp_budget(space, t, k, constant, c_prime)
+    expected = reference_klp_thresholds(budget, constant, c_prime)
+    assert (budget.n_threshold, budget.relaxed_threshold) == expected
