@@ -3,8 +3,8 @@
 There is one kernel implementation, ``_pykernels``.  These two bindings stay
 because they are read from outside the library: the layered benchmark
 (``layerbench/``) wraps ``kernels.extend_level``, ``kernels.rref`` and
-``kernels.products`` to time the kernel layer, and records ``BACKEND_NAME``
-with every run.
+``kernels.products`` (one whole-level call per batch of t-space incidence)
+to time the kernel layer, and records ``BACKEND_NAME`` with every run.
 """
 
 from . import _pykernels as kernels

@@ -2,10 +2,13 @@
 
 Matrices are row-major bytes of field codes.  Each kernel takes the
 ``FieldTable`` (``extend_level`` takes the form, which carries it) and reads
-its flat lookup tables once at entry (add/mul of length p*p, neg/inv/conj of
-length p).  ``extend_level`` reads its form once too, as nonzero terms and a
-conjugation table, and never branches on the form's kind inside its loops; it
-needs canonical, totally isotropic parents and a form of the kind it names.
+its lookup tables once at entry: ``rref`` and ``extend_level`` the flat ones
+(add/mul of length p*p, neg/inv/conj of length p), ``products`` the 256-byte
+translate tables, with which it scales and adds whole byte strings of codes,
+one string per row combination over a whole batch of bases.
+``extend_level`` reads its form once too, as nonzero terms and a conjugation
+table, and never branches on the form's kind inside its loops; it needs
+canonical, totally isotropic parents and a form of the kind it names.
 """
 
 from __future__ import annotations
@@ -170,22 +173,48 @@ def extend_level(mats, count, j, d, form, start_pivots):
     return bytes(out)
 
 
-def products(tmats, count, t, kdim, umat, d, field):
-    """Batch of T @ U products: ``count`` many t x kdim matrices against one
-    kdim x d matrix.  RREF inputs yield RREF outputs."""
-    p, addt, mult = field.order, field.add_table, field.mul_table
-    out = bytearray(count * t * d)
-    for im in range(count):
-        tb = im * t * kdim
-        ob = im * t * d
-        for i in range(t):
-            rb = ob + i * d
-            for g in range(kdim):
-                coef = tmats[tb + i * kdim + g]
-                if coef:
-                    ub = g * d
-                    for c in range(d):
-                        uv = umat[ub + c]
-                        if uv:
-                            out[rb + c] = addt[out[rb + c] * p + mult[coef * p + uv]]
-    return bytes(out)
+def products(umats, count, kdim, d, codes, field):
+    """Row combinations of a batch of ``count`` many kdim x d matrices U,
+    concatenated in ``umats``, one whole level at a time: for each code in
+    ``codes``, the combination sum_g c_g U[g] for every U, as one string of
+    count * d codes (U's combination at offset index(U) * d).
+
+    A code is a coefficient vector (c_0, .., c_{kdim-1}) read as a base-p
+    numeral, c_0 the most significant digit, whose leading nonzero entry is
+    1, as is every row of an RREF matrix.  A code's combination is the one of
+    the code without its lowest-order nonzero digit plus that digit times the
+    row string of every U[g]: one scaling and one addition over the level,
+    each a few ``bytes.translate`` calls and one int addition (the
+    ``FieldTable`` spread tables), and at most (p^kdim - 1)/(p - 1)
+    strings are held."""
+    p, scale = field.order, field.scale_tables
+    spread, unspread = field.spread_table, field.unspread_table
+    size = count * d
+    rows = []  # rows[g]: row g of every U, one level string
+    for g in range(kdim):
+        row = bytearray(size)
+        for c in range(d):
+            row[c::d] = umats[g * d + c :: kdim * d]
+        rows.append(bytes(row))
+    units = [p ** (kdim - 1 - g) for g in range(kdim)]
+    combos = {}
+    for code in codes:
+        # the digits from the most significant down: each nonzero one
+        # extends the prefix, whose combination is the previous prefix's
+        # plus the digit's multiple of rows[g]
+        prefix, acc = 0, None
+        for g, unit in enumerate(units):
+            digit = code // unit % p
+            if not digit:
+                continue
+            prefix += digit * unit
+            got = combos.get(prefix)
+            if got is None:
+                got = rows[g] if digit == 1 else rows[g].translate(scale[digit])
+                if acc is not None:
+                    total = int.from_bytes(acc.translate(spread), "little")
+                    total += int.from_bytes(got.translate(spread), "little")
+                    got = total.to_bytes(size, "little").translate(unspread)
+                combos[prefix] = got
+            acc = got
+    return [combos[code] for code in codes]

@@ -169,6 +169,19 @@ class FieldTable:
             self.conj_table = bytes(self._pow(a, q) for a in range(p))
         else:
             self.conj_table = None
+        # 256-byte tables for bytes.translate, so whole vectors of codes are
+        # scaled and added in C.  scale_tables[c] maps a code x to c * x.
+        # spread writes each base-ell digit of a code in radix 2*ell - 1, so
+        # the integer sum of two spread codes carries in no digit and stays
+        # below (2*ell - 1)^degree, at most 243 for p <= 32; unspread maps
+        # such a sum back to the code of the field sum.
+        pad = bytes(256 - p)
+        self.scale_tables = tuple(mul[c * p : c * p + p] + pad for c in range(p))
+        radix = 2 * char - 1
+        self.spread_table = bytes(_code(_digits(a, char, degree), radix) for a in range(p)) + pad
+        self.unspread_table = bytes(
+            _code([x % char for x in _digits(s, radix, degree)], char) for s in range(256)
+        )
 
     def _pow(self, a: int, e: int) -> int:
         r, b = 1, a
@@ -250,6 +263,7 @@ def make_field(p: int) -> FieldTable:
                 mul[a * p + b] = _code(_poly_mulmod(reps[a], reps[b], modulus, ell), ell)
         table = FieldTable(p, ell, r, modulus, bytes(add), bytes(mul))
     verify_field_axioms(table)
+    verify_spread_tables(table)
     return table
 
 
@@ -277,3 +291,15 @@ def verify_field_axioms(field: FieldTable) -> None:
         holds(add[add[a][b]][c] == add[a][add[b][c]], "additive associativity", a, b, c)
         holds(mul[mul[a][b]][c] == mul[a][mul[b][c]], "multiplicative associativity", a, b, c)
         holds(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], "distributivity", a, b, c)
+
+
+def verify_spread_tables(field: FieldTable) -> None:
+    """Exhaustive check that whole-vector addition through the spread
+    tables is field addition: for every pair a, b the sum of the spread codes
+    fits in one byte and unspreads to a + b.  Raises AssertionError naming
+    the order and the first pair it fails at."""
+    p, spread, unspread = field.order, field.spread_table, field.unspread_table
+    for a, b in product(range(p), repeat=2):
+        s = spread[a] + spread[b]
+        if s > 255 or unspread[s] != field.add_table[a * p + b]:
+            raise AssertionError(f"F_{p}: spread addition fails at {(a, b)}")

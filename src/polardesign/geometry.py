@@ -415,38 +415,69 @@ def rref_space_reps(t: int, m: int, p: int) -> tuple[bytes, ...]:
     return tuple(out)
 
 
-def _tsubspace_bytes(field: FieldTable, data: bytes, d: int, t: int) -> list[bytes]:
-    """Canonical bytes of every t-subspace of the space with canonical bytes
-    ``data``: the products of RREF reps against an RREF basis are already
-    canonical."""
-    k = len(data) // d
-    reps = rref_space_reps(t, k, field.order)
-    if not reps:
-        return []
-    raw = kernels.products(b"".join(reps), len(reps), t, k, data, d, field)
-    sz = t * d
-    return [raw[i * sz : (i + 1) * sz] for i in range(len(reps))]
+@lru_cache(maxsize=None)
+def _rep_codes(t: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The reps of ``rref_space_reps(t, k, p)``, in order, each as its t row
+    codes: a row of F_p^k read as a base-p numeral, first entry most
+    significant, the code the products kernel takes."""
+    return tuple(
+        tuple(_row_code(rep[i * k : (i + 1) * k], p) for i in range(t))
+        for rep in rref_space_reps(t, k, p)
+    )
+
+
+def _row_code(row: bytes, p: int) -> int:
+    code = 0
+    for x in row:
+        code = code * p + x
+    return code
+
+
+def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
+    """For each outer subspace, given by its canonical bytes, in order: the
+    canonical bytes of every t-subspace, one per RREF rep of
+    ``rref_space_reps``, in that order.  The product of an RREF rep and an
+    RREF basis is already canonical, and row i of the product is the
+    combination of the basis rows by row i of the rep, so one kernel call
+    gives every row of every product over the whole batch.  The outers must
+    all have one dimension k; ValueError otherwise."""
+    sizes = {len(data) for data in outers}
+    if len(sizes) > 1:
+        raise ValueError(f"outer subspaces of different sizes {sorted(sizes)}")
+    size = sizes.pop() if sizes else 0
+    if size % d:
+        raise ValueError(f"{size} codes do not form a matrix with {d} columns")
+    k = size // d
+    reps = _rep_codes(t, k, field.order)
+    needed = sorted({code for rep in reps for code in rep})
+    combos = kernels.products(b"".join(outers), len(outers), k, d, needed, field)
+    combo = dict(zip(needed, combos))
+    strings = [[combo[code] for code in rep] for rep in reps]  # per rep, its rows' strings
+    return (
+        [b"".join([row[i : i + d] for row in rep]) for rep in strings]
+        for i in range(0, len(outers) * d, d)
+    )
 
 
 def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspace]:
     """All t-subspaces of ``outer``."""
     d = outer.ambient
-    return [Subspace.from_bytes(b, t, d) for b in _tsubspace_bytes(field, outer.data, d, t)]
+    (subs,) = _tsubspace_bytes(field, [outer.data], d, t)
+    return [Subspace.from_bytes(b, t, d) for b in subs]
 
 
 def tspace_positions(
     space: PolarSpace, t: int, outers, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[list[bytes], list[list[int | None]]]:
     """The incidence of isotropic t-spaces with ``outers``, the canonical
-    bytes of subspaces of the ambient space: level t as canonical bytes in
-    lexicographic order, and for each outer subspace the positions in that
-    list of its t-subspaces (None for one outside the level).  Level t is
-    read before ``outers`` is iterated."""
+    bytes of subspaces of the ambient space, all of one dimension: level t
+    as canonical bytes in lexicographic order, and for each outer subspace
+    the positions in that list of its t-subspaces (None for one outside the
+    level).  Level t is read before ``outers`` is iterated; ValueError when
+    the outers differ in size or do not form matrices with d columns."""
     if not 0 <= t <= space.n:
         raise ValueError(f"t must lie in 0..{space.n}")
     level = _final_level(space, t, budget)
     position = {data: i for i, data in enumerate(level)}.get
-    field, d = space.field, space.d
-    return level, [
-        [position(data) for data in _tsubspace_bytes(field, outer, d, t)] for outer in outers
-    ]
+    subs = _tsubspace_bytes(space.field, list(outers), space.d, t)
+    return level, [[position(data) for data in within] for within in subs]

@@ -112,6 +112,29 @@ def naive_intersection_dimension(field, a: Subspace, b: Subspace) -> int:
     return dim
 
 
+# The per-matrix products kernel that the whole-level _pykernels.products
+# replaced, kept verbatim as the reference for the rows it computes.
+def reference_products(tmats, count, t, kdim, umat, d, field):
+    """Batch of T @ U products: ``count`` many t x kdim matrices against one
+    kdim x d matrix.  RREF inputs yield RREF outputs."""
+    p, addt, mult = field.order, field.add_table, field.mul_table
+    out = bytearray(count * t * d)
+    for im in range(count):
+        tb = im * t * kdim
+        ob = im * t * d
+        for i in range(t):
+            rb = ob + i * d
+            for g in range(kdim):
+                coef = tmats[tb + i * kdim + g]
+                if coef:
+                    ub = g * d
+                    for c in range(d):
+                        uv = umat[ub + c]
+                        if uv:
+                            out[rb + c] = addt[out[rb + c] * p + mult[coef * p + uv]]
+    return bytes(out)
+
+
 # The enumeration rule that geometry.FormEvaluator's radical rule replaced,
 # kept verbatim as the reference for which quadratic forms are nondegenerate.
 def reference_kernel_vectors(flat, rows, cols, field):

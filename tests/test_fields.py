@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from polardesign.fields import (
     make_field,
     prime_power_split,
     verify_field_axioms,
+    verify_spread_tables,
 )
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -63,6 +65,18 @@ def test_prime_power_split_refuses_roots_above_the_witness_bound():
 @pytest.mark.parametrize("p", ALL_ORDERS)
 def test_axioms_exhaustive(p):
     verify_field_axioms(make_field(p))
+
+
+def test_spread_check_rejects_a_corrupted_unspread_entry():
+    # 1 + 2 in F_9: spread codes 1 and 2 in radix 5 sum to 3, which must
+    # unspread to the code of the field sum
+    field = copy.copy(make_field(9))
+    s = field.spread_table[1] + field.spread_table[2]
+    bad = bytearray(field.unspread_table)
+    bad[s] = field.add(bad[s], 1)
+    field.unspread_table = bytes(bad)
+    with pytest.raises(AssertionError, match=r"F_9: spread addition fails at \(1, 2\)"):
+        verify_spread_tables(field)
 
 
 def test_axiom_check_rejects_a_ring_under_python_O():

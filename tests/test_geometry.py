@@ -664,6 +664,16 @@ def test_tspace_positions_mark_subspaces_outside_the_level_none():
         tspace_positions(sp, 3, [whole.data])
 
 
+def test_tspace_positions_reject_mixed_or_ragged_outers():
+    # one batch is one dimension k: outers of two sizes, or a size that is
+    # no whole number of rows, are refused rather than read as smaller spaces
+    sp = standard_polar_space("C", 2, 2)
+    line, point = isotropic_kspaces(sp, 2)[0], isotropic_kspaces(sp, 1)[0]
+    for outers in ([line.data, point.data], [line.data[:-1]], [line.data[:-1]] * 2):
+        with pytest.raises(ValueError):
+            tspace_positions(sp, 1, outers)
+
+
 def test_subspace_serialization_roundtrip():
     # a Subspace stores its ambient dimension and canonical bytes; k, rows
     # and the JSON lists are derived from them

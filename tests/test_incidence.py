@@ -87,11 +87,13 @@ def test_constant_row_sum_rejects_repeated_tspaces(monkeypatch):
     space = standard_polar_space("C", 2, 2)
     kspaces = isotropic_kspaces(space, 2)
     bad = kspaces[4]
-    products = geometry._tsubspace_bytes
+    batched = geometry._tsubspace_bytes
 
-    def repeat_first(field, outer, d, t):
-        subs = products(field, outer, d, t)
-        return subs[:1] + subs[:-1] if outer == bad.data else subs
+    def repeat_first(field, outers, d, t):
+        return [
+            subs[:1] + subs[:-1] if outer == bad.data else subs
+            for outer, subs in zip(outers, batched(field, outers, d, t))
+        ]
 
     monkeypatch.setattr(geometry, "_tsubspace_bytes", repeat_first)
     report = constant_row_sum_check(space, 1, 2)

@@ -1,5 +1,5 @@
 """Property tests of the F_p kernels at every field order p <= 32 on
-matrices with at most 6 columns.  The expected values are built from
+matrices with at most 7 columns.  The expected values are built from
 ``FieldTable.add/mul`` alone, never from the kernels: a full-rank matrix is
 drawn as an invertible mix of an RREF matrix, so its RREF is known in
 advance."""
@@ -7,6 +7,7 @@ advance."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_products
 
 from polardesign._pykernels import products, rref
 from polardesign.fields import make_field
@@ -58,6 +59,30 @@ def flat(rows):
     return bytes(x for row in rows for x in row)
 
 
+def codes(p, rows):
+    """Each row as the products kernel's code: a base-p numeral, first
+    entry most significant."""
+    out = []
+    for row in rows:
+        code = 0
+        for x in row:
+            code = code * p + x
+        out.append(code)
+    return out
+
+
+def kernel_products(field, bases, reps, k, d):
+    """Per basis U, per rep T, the t x d product T @ U as bytes, assembled
+    from one products call on the whole batch of bases."""
+    needed = sorted({c for rep in reps for c in codes(field.order, rep)})
+    combos = products(b"".join(map(flat, bases)), len(bases), k, d, needed, field)
+    combo = dict(zip(needed, combos))
+    return [
+        [b"".join(combo[c][i * d : (i + 1) * d] for c in codes(field.order, rep)) for rep in reps]
+        for i in range(len(bases))
+    ]
+
+
 def is_full_rank_rref(rows):
     leads = [next((c for c, x in enumerate(row) if x), None) for row in rows]
     if None in leads or leads != sorted(set(leads)):
@@ -89,7 +114,7 @@ def test_products_of_rref_reps_are_canonical_rows_inside_the_basis(p, data):
     t = data.draw(st.integers(1, k))
     basis = data.draw(rref_matrices(p, k, d))
     reps = data.draw(st.lists(rref_matrices(p, t, k), min_size=1, max_size=4))
-    raw = products(b"".join(map(flat, reps)), len(reps), t, k, flat(basis), d, field)
+    raw = b"".join(kernel_products(field, [basis], reps, k, d)[0])
     assert len(raw) == len(reps) * t * d
     pivots = [row.index(1) for row in basis]
     for i in range(len(reps)):
@@ -99,3 +124,23 @@ def test_products_of_rref_reps_are_canonical_rows_inside_the_basis(p, data):
         # combination of the basis rows given by its pivot coordinates
         for row in out:
             assert matmul(field, [[row[pc] for pc in pivots]], basis) == [row]
+
+
+@pytest.mark.parametrize("p", ALL_ORDERS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_products_match_the_per_matrix_reference(p, data):
+    # the whole-level kernel against the per-matrix products it replaced,
+    # on a batch of bases and every t of the bases' dimension
+    field = make_field(p)
+    d = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, d))
+    bases = data.draw(st.lists(rref_matrices(p, k, d), min_size=1, max_size=6))
+    for t in range(1, k + 1):
+        reps = data.draw(st.lists(rref_matrices(p, t, k), min_size=1, max_size=4))
+        got = kernel_products(field, bases, reps, k, d)
+        for basis, per_basis in zip(bases, got):
+            want = reference_products(
+                b"".join(map(flat, reps)), len(reps), t, k, flat(basis), d, field
+            )
+            assert b"".join(per_basis) == want
