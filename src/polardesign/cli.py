@@ -53,8 +53,6 @@ def _stringify(value):
         return decimal_string(value)
     if isinstance(value, dict):
         return {key: _stringify(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_stringify(val) for val in value]
     return value
 
 
@@ -142,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--seed", type=int, default=0, help="shuffle seed of the randomized method"
     )
-    p_search.add_argument("--node-budget", type=non_negative_int, default=10_000_000)
+    p_search.add_argument(
+        "--node-budget", type=non_negative_int, default=SearchProblem.node_budget
+    )
     p_search.add_argument("--output", help="also write the certificate to this path")
     _common_args(p_search)
 

@@ -195,9 +195,6 @@ class FieldTable:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a * self.order + b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a * self.order + self.neg_table[b]]
-
     def neg(self, a: int) -> int:
         return self.neg_table[a]
 
@@ -209,24 +206,9 @@ class FieldTable:
             raise ZeroDivisionError("0 has no inverse")
         return self.inv_table[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self._pow(self.inv(a), -e)
-        return self._pow(a, e)
-
     @property
     def has_conjugation(self) -> bool:
         return self.conj_table is not None
-
-    @property
-    def sqrt_order(self) -> int:
-        """q with q^2 = p, for square-order fields."""
-        if self.conj_table is None:
-            raise ValueError(f"F_{self.order} has odd extension degree")
-        return self.characteristic ** (self.degree // 2)
 
     def conjugate(self, a: int) -> int:
         """The involution a -> a^q on a field of order q^2."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from . import _pykernels as kernels
@@ -23,7 +23,16 @@ from .fields import FieldTable, make_field
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
-FAMILY_NAMES = ("2A-odd", "2A-even", "B", "C", "D", "2D")
+# per family: the ambient dimension d less 2n, and twice the polar parameter e
+_FAMILY_SHAPES = {
+    "2A-odd": (0, -1),
+    "2A-even": (1, 1),
+    "B": (1, 0),
+    "C": (0, 0),
+    "D": (0, -2),
+    "2D": (2, 2),
+}
+FAMILY_NAMES = tuple(_FAMILY_SHAPES)
 
 
 class BudgetExceededError(RuntimeError):
@@ -203,7 +212,6 @@ class PolarSpace:
     p: int
     d: int
     twice_e: int
-    group: str
     field: FieldTable
 
     def __repr__(self):
@@ -249,23 +257,12 @@ def standard_polar_space(family: str, n: int, q: int) -> PolarSpace:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
     if n < 1:
         raise ValueError("rank must be at least 1")
-    hermitian = family in ("2A-odd", "2A-even")
-    p = q * q if hermitian else q
+    if q < 2:  # before squaring, so a negative Hermitian q is refused too
+        raise ValueError(f"base order q must be a prime power at least 2, not {q}")
+    p = q * q if family in ("2A-odd", "2A-even") else q
     field = make_field(p)  # enforces the prime-power and desk-scale caps
-
-    if family == "2A-odd":
-        d, twice_e, group = 2 * n, -1, f"U({2 * n},{q}^2)"
-    elif family == "2A-even":
-        d, twice_e, group = 2 * n + 1, 1, f"U({2 * n + 1},{q}^2)"
-    elif family == "C":
-        d, twice_e, group = 2 * n, 0, f"Sp({2 * n},{q})"
-    elif family == "D":
-        d, twice_e, group = 2 * n, -2, f"O+({2 * n},{q})"
-    elif family == "B":
-        d, twice_e, group = 2 * n + 1, 0, f"O({2 * n + 1},{q})"
-    else:  # 2D
-        d, twice_e, group = 2 * n + 2, 2, f"O-({2 * n + 2},{q})"
-    return PolarSpace(family, n, q, p, d, twice_e, group, field)
+    extra, twice_e = _FAMILY_SHAPES[family]
+    return PolarSpace(family, n, q, p, 2 * n + extra, twice_e, field)
 
 
 def is_totally_isotropic(form: FormEvaluator, subspace: Subspace) -> bool:
@@ -384,63 +381,34 @@ def intersection_dimension(field: FieldTable, a: Subspace, b: Subspace) -> int:
 
 
 @lru_cache(maxsize=None)
-def rref_space_reps(t: int, m: int, p: int) -> tuple[bytes, ...]:
-    """Every t x m full-rank RREF matrix over F_p (one per t-subspace of
-    F_p^m), sorted; cached per (t, m, p)."""
-    if t < 0 or t > m:
-        return ()
-    if t == 0:
-        return (b"",)
-    out = []
-    for pivots in combinations(range(m), t):
-        pivset = set(pivots)
-        cells = [
-            (i, c)
-            for i in range(t)
-            for c in range(pivots[i] + 1, m)
-            if c not in pivset
-        ]
-        base = bytearray(t * m)
-        for i, pc in enumerate(pivots):
-            base[i * m + pc] = 1
-        total = p ** len(cells)
-        for code in range(total):
-            mat = bytearray(base)
-            x = code
-            for i, c in cells:
-                mat[i * m + c] = x % p
-                x //= p
-            out.append(bytes(mat))
-    out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _rep_codes(t: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """The reps of ``rref_space_reps(t, k, p)``, in order, each as its t row
-    codes: a row of F_p^k read as a base-p numeral, first entry most
-    significant, the code the products kernel takes."""
-    return tuple(
-        tuple(_row_code(rep[i * k : (i + 1) * k], p) for i in range(t))
-        for rep in rref_space_reps(t, k, p)
-    )
-
-
-def _row_code(row: bytes, p: int) -> int:
-    code = 0
-    for x in row:
-        code = code * p + x
-    return code
+    """Every t x k full-rank RREF matrix over F_p (one per t-subspace of
+    F_p^k) as its t row codes, sorted; cached per (t, k, p).  A row code is
+    the row read as a base-p numeral, first entry most significant, the code
+    the products kernel takes, so sorted code tuples follow the matrices'
+    byte order."""
+    reps = []
+    for pivots in combinations(range(k), t):
+        rows = []
+        for pc in pivots:  # a 1 at the pivot, any entry in the free cells after it
+            codes = [p ** (k - 1 - pc)]
+            for c in range(pc + 1, k):
+                if c not in pivots:
+                    codes = [code + x * p ** (k - 1 - c) for code in codes for x in range(p)]
+            rows.append(codes)
+        reps.extend(product(*rows))
+    reps.sort()
+    return tuple(reps)
 
 
 def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
     """For each outer subspace, given by its canonical bytes, in order: the
-    canonical bytes of every t-subspace, one per RREF rep of
-    ``rref_space_reps``, in that order.  The product of an RREF rep and an
-    RREF basis is already canonical, and row i of the product is the
-    combination of the basis rows by row i of the rep, so one kernel call
-    gives every row of every product over the whole batch.  The outers must
-    all have one dimension k; ValueError otherwise."""
+    canonical bytes of every t-subspace, one per RREF rep of ``_rep_codes``,
+    in that order.  The product of an RREF rep and an RREF basis is already
+    canonical, and row i of the product is the combination of the basis rows
+    by row i of the rep, so one kernel call gives every row of every product
+    over the whole batch.  The outers must all have one dimension k;
+    ValueError otherwise."""
     sizes = {len(data) for data in outers}
     if len(sizes) > 1:
         raise ValueError(f"outer subspaces of different sizes {sorted(sizes)}")

@@ -70,9 +70,6 @@ class KlpBudget:
     theorem_cap_p_21nt: int
     inequalities: tuple[tuple[str, bool], ...]
 
-    def inequality(self, name: str) -> bool:
-        return dict(self.inequalities)[name]
-
 
 def klp_budget(
     space: PolarSpace,

@@ -283,7 +283,7 @@ def count_spreads(
     space: PolarSpace,
     t: int,
     k: int,
-    node_budget: int = 10_000_000,
+    node_budget: int = SearchProblem.node_budget,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
     """Number of exact covers (lambda = 1) in the search's column order."""

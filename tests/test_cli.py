@@ -292,6 +292,13 @@ def test_verify_design_rejects_mutation(tmp_path, capsys):
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count", "--family", "Z", "--q", "2", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "count", "--family", "C", "--q", "6", "--n", "2", "--k", "1")[0] == 2
+    # a negative Hermitian q squares to a valid order, and must still be refused
+    hermitian = ("--family", "2A-odd", "--q", "-2")
+    for argv in (
+        ("count", *hermitian, "--n", "2", "--k", "1"),
+        ("search", *hermitian, "--n", "1", "--t", "1", "--k", "1", "--lambda", "1"),
+    ):
+        assert run_cli(capsys, *argv)[:2] == (2, "")
     assert run_cli(capsys, "decode", "--p", "6", "--t", "1", "--k", "2")[:2] == (2, "")
     # 2^89 - 1: a prime above the bound where Miller-Rabin is proven to decide
     assert run_cli(capsys, "decode", "--p", str(2**89 - 1), "--t", "1", "--k", "2")[:2] == (2, "")
@@ -375,6 +382,7 @@ _CERT = {"family": "C", "q": 2, "n": 2, "t": 1, "k": 2, "lambda": 1}
         {**_CERT, "blocks": [[1, 0, 0, 0]]},
         {**_CERT, "lambda": True, "blocks": []},
         {**_CERT, "q": "2", "blocks": []},
+        {**_CERT, "family": "2A-odd", "q": -2, "blocks": []},
         {**_CERT, "blocks": [], "provenance": []},
     ],
     ids=[
@@ -385,6 +393,7 @@ _CERT = {"family": "C", "q": 2, "n": 2, "t": 1, "k": 2, "lambda": 1}
         "block not a list of rows",
         "boolean lambda",
         "string q",
+        "negative Hermitian q",
         "provenance not an object",
     ],
 )

@@ -135,7 +135,10 @@ def test_f9_modulus_is_x2_plus_1():
 def test_frobenius_is_homomorphism(p):
     field = make_field(p)
     ell = field.characteristic
-    frob = [field.pow(a, ell) for a in range(p)]
+    frob = [1] * p
+    for a in range(p):
+        for _ in range(ell):
+            frob[a] = field.mul(frob[a], a)
     for a in range(p):
         for b in range(p):
             assert frob[field.add(a, b)] == field.add(frob[a], frob[b])
@@ -145,7 +148,7 @@ def test_frobenius_is_homomorphism(p):
 @pytest.mark.parametrize("p", [4, 9, 16, 25])
 def test_conjugation_is_involution_with_fixed_subfield(p):
     field = make_field(p)
-    q = field.sqrt_order
+    q = field.characteristic ** (field.degree // 2)
     assert q * q == p
     fixed = 0
     for a in range(p):
@@ -185,8 +188,7 @@ def test_conjugation_rejected_for_odd_degree(p):
     field = make_field(p)
     with pytest.raises(ValueError):
         field.conjugate(1)
-    with pytest.raises(ValueError):
-        _ = field.sqrt_order
+    assert not field.has_conjugation
 
 
 def test_division_and_inverse():
@@ -194,14 +196,6 @@ def test_division_and_inverse():
         field = make_field(p)
         for a in range(1, p):
             assert field.mul(a, field.inv(a)) == 1
-            assert field.div(a, a) == 1
         with pytest.raises(ZeroDivisionError):
             field.inv(0)
 
-
-def test_sub_and_pow():
-    f7 = make_field(7)
-    assert f7.sub(3, 5) == 5
-    assert f7.pow(3, 0) == 1
-    assert f7.pow(3, 6) == 1  # Fermat
-    assert f7.pow(3, -1) == f7.inv(3)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -29,13 +30,13 @@ from polardesign.geometry import (
     Subspace,
     _extend_once,
     _least_anisotropic_coeff,
+    _rep_codes,
     clear_enumeration_cache,
     enumerate_extensions,
     intersection_dimension,
     is_totally_isotropic,
     isotropic_kspaces,
     rref_canonicalize,
-    rref_space_reps,
     standard_polar_space,
     subspace_contains,
     subspaces_within,
@@ -67,7 +68,7 @@ ORACLE_INSTANCES = [
 
 def test_descriptor_table():
     sp = standard_polar_space("C", 2, 2)
-    assert (sp.d, sp.p, sp.twice_e, sp.group) == (4, 2, 0, "Sp(4,2)")
+    assert (sp.d, sp.p, sp.twice_e) == (4, 2, 0)
     sp = standard_polar_space("2A-odd", 2, 2)
     assert (sp.d, sp.p, sp.twice_e) == (4, 4, -1)
     sp = standard_polar_space("2A-even", 2, 3)
@@ -89,6 +90,10 @@ def test_descriptor_errors():
         standard_polar_space("C", 2, 6)
     with pytest.raises(ValueError):
         standard_polar_space("2A-odd", 2, 7)  # p = 49 over the cap
+    for family in ("C", "2A-odd", "2A-even"):
+        for q in (-2, 0, 1):  # q = -2 squares to the valid Hermitian order 4
+            with pytest.raises(ValueError, match="at least 2"):
+                standard_polar_space(family, 2, q)
 
 
 def test_alternating_form_vanishes_on_diagonal():
@@ -125,9 +130,9 @@ def test_quadratic_polar_identity():
             w = tuple(rng.randrange(sp.p) for _ in range(sp.d))
             upw = tuple(sp.field.add(a, b) for a, b in zip(u, w))
             lhs = sp.form.bilinear(u, w)
-            rhs = sp.field.sub(
-                sp.field.sub(sp.form.quadratic(upw), sp.form.quadratic(u)),
-                sp.form.quadratic(w),
+            rhs = sp.field.add(
+                sp.field.add(sp.form.quadratic(upw), sp.field.neg(sp.form.quadratic(u))),
+                sp.field.neg(sp.form.quadratic(w)),
             )
             assert lhs == rhs
 
@@ -608,12 +613,54 @@ def test_containment_rejects_an_ambient_mismatch():
     assert not subspace_contains(field, Subspace.from_rows(4, [(1, 0, 0, 0)]), line)
 
 
-def test_rref_space_reps_cardinality():
-    for t, m, p in [(1, 3, 2), (2, 4, 2), (2, 4, 3), (3, 5, 2), (2, 3, 4)]:
-        reps = rref_space_reps(t, m, p)
-        assert len(reps) == gaussian_binomial(m, t, p)
+def _decode_rep(codes, k, p):
+    """The t x k matrix whose rows have the given base-p row codes."""
+    rows = []
+    for code in codes:
+        assert 0 <= code < p**k
+        rows.append([code // p ** (k - 1 - c) % p for c in range(k)])
+    return rows
+
+
+def _is_full_rank_rref(rows):
+    """Each row has a leading 1, the leading columns increase, and every
+    other row is 0 in them: a full-rank RREF matrix."""
+    pivots = []
+    for row in rows:
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            return False
+        pivots.append(lead)
+    return all(row[pc] == (i == r) for r, row in enumerate(rows) for i, pc in enumerate(pivots))
+
+
+def test_rep_codes_cardinality():
+    for t, k, p in [(1, 3, 2), (2, 4, 2), (2, 4, 3), (3, 5, 2), (2, 3, 4), (0, 3, 2), (0, 0, 5)]:
+        reps = _rep_codes(t, k, p)
+        assert len(reps) == gaussian_binomial(k, t, p)
         assert len(set(reps)) == len(reps)
         assert list(reps) == sorted(reps)
+        # sorted code tuples are sorted matrices: the byte order of the reps
+        assert [_decode_rep(rep, k, p) for rep in reps] == sorted(
+            _decode_rep(rep, k, p) for rep in reps
+        )
+        for rep in reps:
+            assert len(rep) == t
+            assert _is_full_rank_rref(_decode_rep(rep, k, p))
+    assert _rep_codes(3, 2, 2) == ()
+
+
+def test_rep_codes_digest_is_pinned():
+    # the reps fix the order of every outer's t-subspaces, which the cover
+    # matrix and tspace_positions inherit; pinned at every field order
+    digest = hashlib.sha256()
+    for p in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
+        for k in range(6 if p <= 5 else 4):
+            for t in range(k + 1):
+                digest.update(repr((p, k, t, _rep_codes(t, k, p))).encode())
+    assert digest.hexdigest() == (
+        "b8a2d8311991c467058fda1d116ad12bf90813bdc324a63162500865c4fa4f58"
+    )
 
 
 def test_subspaces_within_counts_and_containment():

@@ -103,7 +103,7 @@ def test_hyperbolic_x_lower_bound_counterexample():
     budget = klp_budget(space, 1, 2)
     assert budget.count_kspaces == 520
     assert budget.count_kspaces_lower_bound == 3**6 == 729
-    assert not budget.inequality("X>=p^(2nk-ceil(3k^2/2))")
+    assert not dict(budget.inequalities)["X>=p^(2nk-ceil(3k^2/2))"]
     others = [ok for name, ok in budget.inequalities if not name.startswith("X>=")]
     assert all(others)
 
