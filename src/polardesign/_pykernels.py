@@ -1,14 +1,16 @@
 """F_p matrix kernels: the hot loops of enumeration and subspace products.
 
-Matrices are row-major bytes of field codes.  Each kernel takes the
-``FieldTable`` (``extend_level`` takes the form, which carries it) and reads
-its lookup tables once at entry: ``rref`` and ``extend_level`` the flat ones
-(add/mul of length p*p, neg/inv/conj of length p), ``products`` the 256-byte
-translate tables, with which it scales and adds whole byte strings of codes,
-one string per row combination over a whole batch of bases.
-``extend_level`` reads its form once too, as nonzero terms and a conjugation
-table, and never branches on the form's kind inside its loops; it needs
-canonical, totally isotropic parents and a form of the kind it names.
+Matrices are row-major bytes of field codes.  ``rref`` takes the
+``FieldTable`` and reads its flat lookup tables once at entry (add/mul of
+length p*p, neg/inv of length p).  ``products`` and ``extend_level`` scale
+and add whole byte strings of codes with its 256-byte translate tables:
+``products`` one string per row combination over a whole batch of bases,
+``extend_level`` one string per column of the first rows of a group of
+level members that agree on their other rows.  ``extend_level`` takes the
+form, which carries the field, reads it once as nonzero terms and a
+conjugation table, and never branches on the form's kind inside its loops;
+it needs a complete level of canonical, totally isotropic subspaces and a
+form of the kind it names.
 """
 
 from __future__ import annotations
@@ -62,114 +64,211 @@ def _terms(mat, d):
     return [(i // d, i % d, a) for i, a in enumerate(mat) if a]
 
 
+def _sigma(form):
+    """The conjugation table of a Hermitian form, the identity otherwise."""
+    field = form.field
+    return field.conj_table if form.kind == "hermitian" else bytes(range(field.order))
+
+
+def _add_strings(x, y, field):
+    """The field sum of two equal-length strings of codes, entry by entry."""
+    spread = field.spread_table
+    total = int.from_bytes(x.translate(spread), "little")
+    total += int.from_bytes(y.translate(spread), "little")
+    return total.to_bytes(len(x), "little").translate(field.unspread_table)
+
+
 def extend_level(mats, count, j, d, form, start_pivots):
     """One enumeration level: the isotropic (j+1)-spaces containing the
     j-spaces in ``mats``, as concatenated canonical RREF matrices, each
-    produced exactly once.  The parents must be canonical RREF matrices of
-    totally isotropic subspaces.
+    produced exactly once.  ``mats`` must hold the complete level j: every
+    totally isotropic j-space that contains a fixed start subspace, whose
+    pivot columns are ``start_pivots`` (empty for a walk from the zero
+    space), each by its canonical RREF matrix.  At j = len(start_pivots)
+    that level is the start alone.
 
-    Every j-space in ``mats`` contains a fixed start subspace whose pivot
-    columns are ``start_pivots`` (empty for a walk from the zero space).  A
-    child T is produced only by its canonical parent: the j-space inside T
-    that contains the start and lacks m, T's first pivot column outside the
-    start's pivots.  So a parent is extended only by vectors leading before
-    its own first pivot outside the start's pivots (orderly generation:
-    R. C. Read, 1978; B. D. McKay, 1998).
+    A member's non-start rows T' are its rows whose pivot is not a start
+    pivot; T' fixes the member, which is the start plus the span of T'.  The
+    first row of T' is the member's head, the others its tail.  A child T
+    with non-start rows t'_1 < t'_2 < .. is produced only by its canonical
+    parent P, the member with non-start rows t'_2, t'_3, .. (orderly
+    generation: R. C. Read, 1978; B. D. McKay, 1998), and it is P plus
+    v = t'_1, the head of the member Q with non-start rows t'_1, t'_3, ..,
+    which shares P's tail.  So the level is built by joining members that
+    share a tail, as Apriori joins itemsets (R. Agrawal and R. Srikant,
+    1994): P with head r takes the head v of every member of its group with
+    lead(v) < lead(r), v[lead(r)] = 0 and B(v, r) = 0.  Then v vanishes on
+    P's pivots and is orthogonal to P, so P + <v> is totally isotropic, its
+    non-start rows are v followed by P's and its canonical parent is P: each
+    child comes from exactly one pair.  The two tests run on all of a
+    group's heads at once, on its column strings: B(v, r) is the sum of
+    v_g w_g, with w the form's row of r, so column g scaled by w_g and
+    summed gives B(., r) on the whole group.
 
-    perp(S) of a parent S is the kernel of M, the matrix with rows
-    B(s_i, .), and is read off one RREF: with M's columns reversed, the
-    kernel vector of free column r leads at d-1-r with a 1, holds
-    -Mb[i][r] at d-1-pivot_i and is zero on every other lead, so these
-    vectors are the RREF of perp(S).  S lies in perp(S), so S's pivots are
-    leads of perp(S); the vectors leading elsewhere vanish on them and span
-    the complement of S in perp(S) that vanishes on S's pivot columns.
+    The children of the start itself are its sums with the isotropic points
+    of perp(start) / start, from ``_start_children``.
 
-    ``form`` is the ``FormEvaluator`` on F_p^d, of the kind it names, with
-    ``quad`` upper triangular.  One rule, read off the form at entry, serves
-    all three kinds: with sigma the conjugation for a Hermitian form and the
-    identity otherwise, B(u, w) sums u_g a sigma(w_c) over the nonzero Gram
-    terms (g, c, a), so entry c of row i of M is sigma(sum of s_g a over the
-    terms in column c).  v is isotropic iff the same sum over the self terms
-    is 0: Q(v) over the ``quad`` terms of a quadratic form, B(v, v) over the
-    Gram terms of a Hermitian one, and no terms for an alternating one."""
+    ``form`` is the ``FormEvaluator`` on F_p^d, of the kind it names.  With
+    sigma the conjugation for a Hermitian form and the identity otherwise,
+    B(u, w) sums u_g a sigma(w_c) over the nonzero Gram terms (g, c, a)."""
+    if j == len(start_pivots):
+        return _start_children(mats, j, d, form)
+    field = form.field
+    p, addt, mult, negt, scale = (
+        field.order,
+        field.add_table,
+        field.mul_table,
+        field.neg_table,
+        field.scale_tables,
+    )
+    sigma = _sigma(form)
+    by_column = [[] for _ in range(d)]  # per column c, the Gram terms (g, a)
+    for g, c, a in _terms(form.gram, d):
+        by_column[c].append((g, a))
+
+    # members by position: per tail, (head lead, head offset, member offset)
+    start = set(start_pivots)
+    msize = j * d
+    groups = {}
+    for base in range(0, count * msize, msize):
+        if start:
+            rows = range(base, base + msize, d)
+            rows = [off for off in rows if mats.index(1, off) - off not in start]
+            head, tail = rows[0], b"".join([mats[off : off + d] for off in rows[1:]])
+        else:  # every row is a non-start row
+            head, tail = base, mats[base + d : base + msize]
+        groups.setdefault(tail, []).append((mats.index(1, head) - head, head, base))
+
+    out = bytearray()
+    for members in groups.values():
+        members.sort()
+        leads = [lead for lead, _, _ in members]
+        heads = b"".join([mats[head : head + d] for _, head, _ in members])
+        columns = [heads[c::d] for c in range(d)]
+        for lead_r, r, base in members:
+            below = bisect_left(leads, lead_r)  # the heads leading before r
+            if not below:
+                continue
+            w = [0] * d  # the form's row of r: B(v, r) is the sum of v_g w_g
+            for c in range(d):
+                rc = mats[r + c]
+                if rc:
+                    s = sigma[rc]
+                    for g, a in by_column[c]:
+                        w[g] = addt[w[g] * p + mult[a * p + s]]
+            pairing = None  # B(v, r) for every head v of the group
+            for g, wg in enumerate(w):
+                if wg:
+                    term = columns[g].translate(scale[wg])
+                    pairing = term if pairing is None else _add_strings(pairing, term, field)
+            # zero exactly where B(v, r) = 0 and v[lead(r)] = 0
+            fails = int.from_bytes(pairing, "little") | int.from_bytes(columns[lead_r], "little")
+            fails = fails.to_bytes(len(members), "little")
+            i = fails.find(0, 0, below)
+            while i >= 0:
+                # canonical insertion of v, which leads at lead_v with a 1 and
+                # vanishes on P's pivots: the start rows leading before it
+                # lose their entry at lead_v, the rows after it are zero there
+                lead_v, v, _ = members[i]
+                vrow = mats[v : v + d]
+                at = base + bisect_left(start_pivots, lead_v) * d
+                for row in range(base, at, d):
+                    nf = negt[mats[row + lead_v]]
+                    srow = mats[row : row + d]
+                    out.extend([addt[x * p + mult[y * p + nf]] for x, y in zip(srow, vrow)])
+                out += vrow
+                out += mats[at : base + msize]
+                i = fails.find(0, i + 1, below)
+    return bytes(out)
+
+
+def _start_children(start, j, d, form):
+    """The isotropic (j+1)-spaces containing the canonical, totally
+    isotropic j-space ``start``, as concatenated canonical RREF matrices:
+    start + <v> for one v per isotropic point of perp(start) / start.
+
+    perp(S) is the kernel of M, the matrix with rows B(s_i, .), and is read
+    off one RREF: with M's columns reversed, the kernel vector of free
+    column r leads at d-1-r with a 1, holds -Mb[i][r] at d-1-pivot_i and is
+    zero on every other lead, so these vectors are the RREF of perp(S).  S
+    lies in perp(S), so S's pivots are leads of perp(S); the vectors leading
+    elsewhere vanish on them and span the complement of S in perp(S) that
+    vanishes on S's pivot columns.  Entry c of row i of M is sigma(sum of
+    s_g a over the Gram terms in column c).  v is isotropic iff the same sum
+    over the self terms is 0: Q(v) over the ``quad`` terms of a quadratic
+    form (upper triangular), B(v, v) over the Gram terms of a Hermitian one,
+    and no terms for an alternating one."""
     field, kind = form.field, form.kind
     p, addt, mult, negt = field.order, field.add_table, field.mul_table, field.neg_table
-    sigma = field.conj_table if kind == "hermitian" else bytes(range(p))
+    sigma = _sigma(form)
     gterms = _terms(form.gram, d)
     # the self terms; quad is empty for an alternating form
     sterms = gterms if kind == "hermitian" else _terms(form.quad, d)
+    srows = [start[i * d : (i + 1) * d] for i in range(j)]
+    spivots = [row.index(1) for row in srows]
+
+    # constraint matrix, columns reversed: new vector v must satisfy
+    # B(s_i, v) = 0
+    M = bytearray()
+    for srow in srows:
+        acc = [0] * d
+        for g, c, a in gterms:
+            sg = srow[g]
+            if sg:
+                acc[c] = addt[acc[c] * p + mult[sg * p + a]]
+        M.extend(sigma[x] for x in reversed(acc))
+    Mb, pivots = rref(bytes(M), j, d, field)
+
+    # the RREF rows of perp(S) that lead outside S's pivots, in ascending
+    # lead order, so every combination of comp[idx] with later vectors
+    # leads at comp[idx]'s lead with a 1
+    comp = []
+    for lead in range(d):
+        r = d - 1 - lead
+        if r in pivots or lead in spivots:
+            continue
+        w = [0] * d
+        w[lead] = 1
+        for i, pc in enumerate(pivots):
+            w[d - 1 - pc] = negt[Mb[i * d + r]]
+        comp.append((lead, w))
+
+    # one candidate vector per projective point of perp(S)/S
     out = bytearray()
-    msize = j * d
-    for im in range(count):
-        sbase = im * msize
-        srows = [mats[sbase + i * d : sbase + (i + 1) * d] for i in range(j)]
-        spivots = [row.index(1) for row in srows]
+    nc = len(comp)
+    for idx in range(nc):
+        lead, first = comp[idx]
+        at = bisect_left(spivots, lead)
+        nfree = nc - 1 - idx
+        for it in range(p**nfree):
+            v = first[:]
+            x = it
+            for pos in range(nfree):
+                ci = x % p
+                x //= p
+                if ci:
+                    cr = comp[idx + 1 + pos][1]
+                    for c in range(d):
+                        rc = cr[c]
+                        if rc:
+                            v[c] = addt[v[c] * p + mult[ci * p + rc]]
 
-        # constraint matrix, columns reversed: new vector v must satisfy
-        # B(s_i, v) = 0
-        M = bytearray()
-        for srow in srows:
-            acc = [0] * d
-            for g, c, a in gterms:
-                sg = srow[g]
-                if sg:
-                    acc[c] = addt[acc[c] * p + mult[sg * p + a]]
-            M.extend(sigma[x] for x in reversed(acc))
-        Mb, pivots = rref(bytes(M), j, d, field)
-
-        # the RREF rows of perp(S) that lead outside S's pivots, in
-        # ascending lead order, so every combination of comp[idx] with later
-        # vectors leads at comp[idx]'s lead with a 1
-        comp = []
-        for lead in range(d):
-            r = d - 1 - lead
-            if r in pivots or lead in spivots:
+            acc = 0
+            for g, c, a in sterms:
+                vg, vc = v[g], v[c]
+                if vg and vc:
+                    acc = addt[acc * p + mult[mult[vg * p + a] * p + sigma[vc]]]
+            if acc:
                 continue
-            w = [0] * d
-            w[lead] = 1
-            for i, pc in enumerate(pivots):
-                w[d - 1 - pc] = negt[Mb[i * d + r]]
-            comp.append((lead, w))
 
-        # one candidate vector per projective point of perp(S)/S that leads
-        # before the parent's first pivot outside the start
-        bound = next((pv for pv in spivots if pv not in start_pivots), d)
-        nc = len(comp)
-        for idx in range(nc):
-            lead, first = comp[idx]
-            if lead >= bound:
-                break
-            at = bisect_left(spivots, lead)
-            nfree = nc - 1 - idx
-            for it in range(p**nfree):
-                v = first[:]
-                x = it
-                for pos in range(nfree):
-                    ci = x % p
-                    x //= p
-                    if ci:
-                        cr = comp[idx + 1 + pos][1]
-                        for c in range(d):
-                            rc = cr[c]
-                            if rc:
-                                v[c] = addt[v[c] * p + mult[ci * p + rc]]
-
-                acc = 0
-                for g, c, a in sterms:
-                    vg, vc = v[g], v[c]
-                    if vg and vc:
-                        acc = addt[acc * p + mult[mult[vg * p + a] * p + sigma[vc]]]
-                if acc:
-                    continue
-
-                # canonical insertion of v, which leads at `lead` with a 1
-                # and vanishes on S's pivots: the rows leading before it lose
-                # their entry at `lead`, the rows after it are zero there
-                for row in srows[:at]:
-                    nf = negt[row[lead]]
-                    out.extend([addt[x * p + mult[y * p + nf]] for x, y in zip(row, v)])
-                out.extend(v)
-                out.extend(mats[sbase + at * d : sbase + msize])
+            # canonical insertion of v, which leads at `lead` with a 1 and
+            # vanishes on S's pivots: the rows leading before it lose their
+            # entry at `lead`, the rows after it are zero there
+            for row in srows[:at]:
+                nf = negt[row[lead]]
+                out.extend([addt[x * p + mult[y * p + nf]] for x, y in zip(row, v)])
+            out.extend(v)
+            out.extend(start[at * d :])
     return bytes(out)
 
 
@@ -188,7 +287,6 @@ def products(umats, count, kdim, d, codes, field):
     ``FieldTable`` spread tables), and at most (p^kdim - 1)/(p - 1)
     strings are held."""
     p, scale = field.order, field.scale_tables
-    spread, unspread = field.spread_table, field.unspread_table
     size = count * d
     rows = []  # rows[g]: row g of every U, one level string
     for g in range(kdim):
@@ -212,9 +310,7 @@ def products(umats, count, kdim, d, codes, field):
             if got is None:
                 got = rows[g] if digit == 1 else rows[g].translate(scale[digit])
                 if acc is not None:
-                    total = int.from_bytes(acc.translate(spread), "little")
-                    total += int.from_bytes(got.translate(spread), "little")
-                    got = total.to_bytes(size, "little").translate(unspread)
+                    got = _add_strings(acc, got, field)
                 combos[prefix] = got
             acc = got
     return [combos[code] for code in codes]

@@ -66,7 +66,13 @@ def non_negative_int(text: str) -> int:
 
 def _space_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    parser.add_argument("--q", required=True, type=int, help="base field order")
+    parser.add_argument(
+        "--q",
+        required=True,
+        type=int,
+        help="base order q: a prime power q >= 2 with q <= 32, or with q^2 <= 32 for "
+        "the Hermitian families 2A-odd and 2A-even, whose field has order q^2",
+    )
     parser.add_argument("--n", required=True, type=int, help="polar-space rank")
 
 

@@ -294,9 +294,10 @@ def _extend_once(space, level, j):
 
 
 def _extend_level(space, level, j, start_pivots):
-    """The isotropic (j+1)-spaces containing the j-spaces of ``level``, all
-    of which contain a start subspace with pivot columns ``start_pivots``;
-    the kernel produces each once, so sorting is all that is left."""
+    """The isotropic (j+1)-spaces containing a start subspace with pivot
+    columns ``start_pivots``, from ``level``, the complete level j of such
+    spaces: the kernel joins its members and produces each (j+1)-space
+    once, so sorting is all that is left."""
     raw = kernels.extend_level(b"".join(level), len(level), j, space.d, space.form, start_pivots)
     sz = (j + 1) * space.d
     return sorted([raw[i * sz : (i + 1) * sz] for i in range(len(raw) // sz)])
@@ -304,12 +305,13 @@ def _extend_level(space, level, j, start_pivots):
 
 def _final_level(space, k, budget, start: Subspace | None = None):
     """Canonical bytes of every totally isotropic k-space (containing
-    ``start`` if given), via level-by-level perp extension.  Every level the
-    walk passes through, from the base (the zero space or ``start``) to k,
-    is held to the budget by its closed-form size before the cache is read,
-    so the verdict does not depend on what is cached.  Full levels are
-    memoized once they pass the produced-size check, and a full walk resumes
-    from the deepest cached level."""
+    ``start`` if given).  The kernel builds each level from the complete
+    level below it, the first from the base (the zero space or ``start``)
+    alone.  Every level the walk passes through, from the base to k, is held
+    to the budget by its closed-form size before the cache is read, so the
+    verdict does not depend on what is cached.  Full levels are memoized
+    once they pass the produced-size check, and a full walk resumes from the
+    deepest cached level."""
     base = 0 if start is None else start.k
     for j in range(base, k + 1):
         # name the level, not its predicted size, which str() refuses past 4300 digits
@@ -407,8 +409,10 @@ def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
     in that order.  The product of an RREF rep and an RREF basis is already
     canonical, and row i of the product is the combination of the basis rows
     by row i of the rep, so one kernel call gives every row of every product
-    over the whole batch.  The outers must all have one dimension k;
-    ValueError otherwise."""
+    over the whole batch.  Strided copies then interleave a rep's row strings
+    into one string of its products with every outer, outer by outer, and
+    each outer's product is one slice of it.  The outers must all have one
+    dimension k; ValueError otherwise."""
     sizes = {len(data) for data in outers}
     if len(sizes) > 1:
         raise ValueError(f"outer subspaces of different sizes {sorted(sizes)}")
@@ -420,11 +424,16 @@ def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
     needed = sorted({code for rep in reps for code in rep})
     combos = kernels.products(b"".join(outers), len(outers), k, d, needed, field)
     combo = dict(zip(needed, combos))
-    strings = [[combo[code] for code in rep] for rep in reps]  # per rep, its rows' strings
-    return (
-        [b"".join([row[i : i + d] for row in rep]) for rep in strings]
-        for i in range(0, len(outers) * d, d)
-    )
+    tsize = t * d
+    strings = []  # per rep, its product with every outer, outer by outer
+    for rep in reps:
+        string = bytearray(len(outers) * tsize)
+        for i, code in enumerate(rep):
+            row = combo[code]
+            for c in range(d):
+                string[i * d + c :: tsize] = row[c::d]
+        strings.append(bytes(string))
+    return ([s[i * tsize : (i + 1) * tsize] for s in strings] for i in range(len(outers)))
 
 
 def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspace]:

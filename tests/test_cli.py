@@ -289,6 +289,15 @@ def test_verify_design_rejects_mutation(tmp_path, capsys):
     assert "violating_tspace" in result
 
 
+def test_q_help_states_the_field_order_rule(capsys):
+    # the Hermitian families have a field of order q^2, not q
+    code, out, _ = run_cli(capsys, "count", "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "base field order" not in text
+    assert "the Hermitian families 2A-odd and 2A-even, whose field has order q^2" in text
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count", "--family", "Z", "--q", "2", "--n", "2", "--k", "1")[0] == 2
     assert run_cli(capsys, "count", "--family", "C", "--q", "6", "--n", "2", "--k", "1")[0] == 2

@@ -13,6 +13,7 @@ from oracles import (
     naive_is_totally_isotropic,
     naive_isotropic_kspaces,
     reference_anisotropic_coeff,
+    reference_extend_level,
     reference_quadric_is_nondegenerate,
     span_vectors,
 )
@@ -386,6 +387,59 @@ def test_kernel_under_dense_forms(family, n, q):
             child = Subspace.from_bytes(data, j + 1, sp.d)
             assert rref_canonicalize(sp.field, child.rows, sp.d) == child
             assert is_totally_isotropic(form, child)
+
+
+# all six families; q = 3 and the 2A fields of order 4 and 9 for odd and
+# non-prime orders, and rank 3 for levels whose tails hold two rows
+JOIN_INSTANCES = [
+    ("C", 2, 2),
+    ("C", 2, 3),
+    ("C", 3, 2),
+    ("D", 2, 3),
+    ("D", 3, 2),
+    ("B", 2, 3),
+    ("B", 3, 2),
+    ("2D", 1, 3),
+    ("2D", 2, 2),
+    ("2A-odd", 2, 2),
+    ("2A-odd", 3, 2),
+    ("2A-even", 1, 3),
+    ("2A-even", 2, 2),
+]
+
+
+def _kernel_levels(kernel, form, level, j, start_pivots):
+    """Every level of a walk from ``level`` (level j) up to the form's
+    totally isotropic ones of top rank, each as a sorted list of bytes."""
+    d, levels = form.dimension, []
+    while level:
+        raw = kernel(b"".join(level), len(level), j, d, form, start_pivots)
+        j += 1
+        level = sorted(raw[i : i + j * d] for i in range(0, len(raw), j * d))
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("family,n,q", JOIN_INSTANCES)
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.data())
+def test_kernel_matches_the_per_parent_reference(family, n, q, data):
+    # the join of each complete level against the per-parent kernel it
+    # replaced, on every level of a walk from the zero space and of walks
+    # from random canonical starts, under the standard form or a dense one
+    sp = standard_polar_space(family, n, q)
+    dense = data.draw(st.booleans())
+    form = dense_form(sp, random.Random(data.draw(st.integers(0, 99)))) if dense else sp.form
+    levels = _kernel_levels(reference_extend_level, form, [b""], 0, b"")
+    assert _kernel_levels(_pykernels.extend_level, form, [b""], 0, b"") == levels
+    counts = [polar_count(sp, k) for k in range(1, sp.n + 1)]
+    assert [len(level) for level in levels] == counts + [0]  # and nothing past rank n
+    for _ in range(2):
+        t = data.draw(st.integers(1, sp.n))
+        start = data.draw(st.sampled_from(levels[t - 1]))
+        pivots = bytes(start.index(1, i * sp.d) - i * sp.d for i in range(t))
+        want = _kernel_levels(reference_extend_level, form, [start], t, pivots)
+        assert _kernel_levels(_pykernels.extend_level, form, [start], t, pivots) == want
 
 
 def test_extension_of_full_dimension_is_identity():
