@@ -126,26 +126,31 @@ def extend_level(mats, count, j, d, form, start_pivots):
     for g, c, a in _terms(form.gram, d):
         by_column[c].append((g, a))
 
-    # members by position: per tail, (head lead, head offset, member offset)
+    # members by position, per tail: one int per member, lead(head) * span
+    # + the head's offset, so members sort by the lead of their head, and a
+    # member's offset is its head's rounded down to a multiple of j * d
     start = set(start_pivots)
     msize = j * d
+    span = count * msize
     groups = {}
-    for base in range(0, count * msize, msize):
+    for base in range(0, span, msize):
         if start:
             rows = range(base, base + msize, d)
             rows = [off for off in rows if mats.index(1, off) - off not in start]
             head, tail = rows[0], b"".join([mats[off : off + d] for off in rows[1:]])
         else:  # every row is a non-start row
             head, tail = base, mats[base + d : base + msize]
-        groups.setdefault(tail, []).append((mats.index(1, head) - head, head, base))
+        groups.setdefault(tail, []).append((mats.index(1, head) - head) * span + head)
 
     out = bytearray()
     for members in groups.values():
         members.sort()
-        leads = [lead for lead, _, _ in members]
-        heads = b"".join([mats[head : head + d] for _, head, _ in members])
+        leads = [member // span for member in members]
+        heads = b"".join([mats[head : head + d] for head in (m % span for m in members)])
         columns = [heads[c::d] for c in range(d)]
-        for lead_r, r, base in members:
+        for member in members:
+            lead_r, r = divmod(member, span)
+            base = r - r % msize
             below = bisect_left(leads, lead_r)  # the heads leading before r
             if not below:
                 continue
@@ -169,7 +174,7 @@ def extend_level(mats, count, j, d, form, start_pivots):
                 # canonical insertion of v, which leads at lead_v with a 1 and
                 # vanishes on P's pivots: the start rows leading before it
                 # lose their entry at lead_v, the rows after it are zero there
-                lead_v, v, _ = members[i]
+                lead_v, v = divmod(members[i], span)
                 vrow = mats[v : v + d]
                 at = base + bisect_left(start_pivots, lead_v) * d
                 for row in range(base, at, d):
