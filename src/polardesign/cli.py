@@ -228,7 +228,6 @@ def _cmd_verify_counts(args) -> int:
 def _cmd_decode(args) -> int:
     system = decode.build_decoding_system(args.p, args.t, args.k)
     bounds = decode.determinant_bound_check(system)
-    gamma_l1 = decode.gamma_l1_exact(system)
     _emit(
         {
             "p": args.p,
@@ -239,8 +238,8 @@ def _cmd_decode(args) -> int:
             "detDj": [decimal_string(x) for x in system.det_cols],
             "f": [decimal_string(x) for x in system.f],
             "m": decimal_string(system.m),
-            "gamma_l1": decimal_string(gamma_l1),
-            "c4": decimal_string(max(system.m, gamma_l1)),
+            "gamma_l1": decimal_string(system.gamma_l1),
+            "c4": decimal_string(max(system.m, system.gamma_l1)),
             "verified": bounds.ok,
         }
     )

@@ -35,9 +35,12 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     if k > n:
         return 0
     k = min(k, n - k)
-    result = 1
-    for j in range(1, k + 1):
-        result = result * (p ** (n - j + 1) - 1) // (p**j - 1)
+    # after step j, result = [n-k+j j]_p, over running powers p^j, p^(n-k+j)
+    result, low, high = 1, 1, p ** (n - k)
+    for _ in range(k):
+        low *= p
+        high *= p
+        result = result * (high - 1) // (low - 1)
     return result
 
 
@@ -78,13 +81,17 @@ def polar_count_through_expr(space, t: int, k: int) -> CountExpression:
     t-space."""
     if not 0 <= t <= k <= space.n:
         raise ValueError(f"need 0 <= t <= k <= {space.n}")
-    factors = [gaussian_binomial(space.n - t, k - t, space.p)]
-    for i in range(k - t):
-        factors.append(power_half(space.p, 2 * (space.n - t - i) + space.twice_e) + 1)
-    value = 1
-    for f in factors:
-        value *= f
-    return CountExpression(value=value, factors=tuple(factors))
+    p, rank, r = space.p, space.n - t, k - t
+    gauss = value = gaussian_binomial(rank, r, p)
+    # the factors p^(rank - i + e) + 1 for i = r-1, .., 0, from one running
+    # power of p that starts at the smallest exponent
+    plus = []
+    power = power_half(p, 2 * (rank - r + 1) + space.twice_e) if r else 0
+    for _ in range(r):
+        plus.append(power + 1)
+        value *= power + 1
+        power *= p
+    return CountExpression(value=value, factors=(gauss, *reversed(plus)))
 
 
 def polar_count_through(space, t: int, k: int) -> int:

@@ -61,7 +61,7 @@ def _det_exact(rows: Sequence[Sequence[int]]) -> int:
 @dataclass(frozen=True)
 class DecodingSystem:
     """Upper-triangular system D f = (0, .., 0, m)^T with integer solution,
-    where m = det D."""
+    where m = det D, and ||gamma_V||_1 from ``gamma_l1_exact``."""
 
     p: int
     t: int
@@ -70,6 +70,7 @@ class DecodingSystem:
     det_cols: tuple[int, ...]
     f: tuple[int, ...]
     m: int
+    gamma_l1: int
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +124,7 @@ def build_decoding_system(p: int, t: int, k: int) -> DecodingSystem:
         det_cols=tuple(det_cols),
         f=tuple(f),
         m=m,
+        gamma_l1=_gamma_l1(p, t, k, f),
     )
 
 
@@ -150,10 +152,7 @@ def determinant_bound_check(system: DecodingSystem) -> DeterminantBoundReport:
     )
 
 
-def gamma_l1_exact(system: DecodingSystem) -> int:
-    """||gamma_V||_1 in closed form: k-subspaces of the (k+t)-space W grouped
-    by their intersection dimension with V."""
-    p, t, k = system.p, system.t, system.k
+def _gamma_l1(p: int, t: int, k: int, f: Sequence[int]) -> int:
     total = 0
     for j in range(t + 1):
         count = (
@@ -161,8 +160,15 @@ def gamma_l1_exact(system: DecodingSystem) -> int:
             * gaussian_binomial(t, j, p)
             * gaussian_binomial(k, k - j, p)
         )
-        total += abs(system.f[j]) * count
+        total += abs(f[j]) * count
     return total
+
+
+def gamma_l1_exact(system: DecodingSystem) -> int:
+    """||gamma_V||_1 in closed form: k-subspaces of the (k+t)-space W grouped
+    by their intersection dimension with V.  ``build_decoding_system`` stores
+    this value as ``system.gamma_l1``."""
+    return _gamma_l1(system.p, system.t, system.k, system.f)
 
 
 @dataclass(frozen=True)

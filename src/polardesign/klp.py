@@ -6,6 +6,15 @@ relaxed threshold) are user parameters defaulting to 1; the log^6 factor is
 evaluated with an integer ceil(log2) so the whole pipeline stays float-free.
 The divisibility constant is reported as the upper witness m*|A|, not the
 true minimum.
+
+Each exact integer is computed once per report.  The block count is the
+least multiple j*m*|A| of that witness at or above the threshold.  Double
+counting gives |A| * N(t->k) = |X| * [k t]_p, where N(t->k) counts the
+k-spaces through one t-space, so lambda at that count is
+j*m*|A| * N(t->k) / |X| = j*m*[k t]_p: an integer by construction.  The
+report's ``lambda_is_integer`` flag is therefore always true; it keeps its
+name and value because the layerbench digests cover it, as they do the flag
+``c1_witness<=|detD||A|``.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import decimal_string, lambda_ratio, polar_count
-from .decode import build_decoding_system, gamma_l1_exact
+from .counting import decimal_string, gaussian_binomial, polar_count
+from .decode import build_decoding_system
 from .geometry import PolarSpace
 
 
@@ -83,9 +92,16 @@ def klp_budget(
     coarse bound fails.  The |X| lower bound and its flag are the closed
     form valid for e >= -1/2 (see KlpBudget); on the hyperbolic family
     (e = -1) the flag can be False."""
-    constant = Fraction(constant)
-    c_prime = Fraction(c_prime)
-    if constant <= 0 or c_prime <= 0:
+    return KlpBudget(**_budget_fields(space, t, k, Fraction(constant), Fraction(c_prime)))
+
+
+def _budget_fields(
+    space: PolarSpace, t: int, k: int, constant: Fraction, c_prime: Fraction
+) -> dict:
+    """The fields of ``KlpBudget``, in its field order, as a dict, which
+    ``feasibility_report`` reads without building the frozen dataclass."""
+    # a Fraction keeps its sign in the numerator
+    if constant.numerator <= 0 or c_prime.numerator <= 0:
         raise ValueError("the universal constants must be positive")
     if not 1 <= t <= k:
         raise ValueError("need 1 <= t <= k")
@@ -94,8 +110,7 @@ def klp_budget(
     n, p = space.n, space.p
 
     system = build_decoding_system(p, t, k)
-    m = system.m
-    gamma_l1 = gamma_l1_exact(system)
+    m, gamma_l1 = system.m, system.gamma_l1
     c4 = max(m, gamma_l1)
     count_a = polar_count(space, t)
     count_x = polar_count(space, k)
@@ -109,47 +124,48 @@ def klp_budget(
     x_lower = p ** (2 * n * k - (3 * k * k + 1) // 2)
 
     dim_l = count_a
-    log_term = ceil_log2(2 * c3 * dim_l)
+    c3_dim_l = c3 * dim_l
+    log_term = ceil_log2(2 * c3_dim_l)
+    # c3^2 dim_L^6, shared by both thresholds
+    shared = (c3_dim_l * dim_l * dim_l) ** 2
     # ceil(C * X) for C = a/b is -((-a * X) // b), all in integers
-    n_threshold = -((-constant.numerator * c3**2 * dim_l**6 * log_term**6) // constant.denominator)
-    relaxed = -((-c_prime.numerator * c3**3 * dim_l**7) // c_prime.denominator)
-    cap = p ** (21 * n * t)
+    n_threshold = -((-constant.numerator * shared * log_term**6) // constant.denominator)
+    relaxed = -((-c_prime.numerator * shared * c3_dim_l) // c_prime.denominator)
 
-    inequalities = (
-        ("c1_witness<=10p^(2nt+k(t+1)^2)", c1_witness <= c1_coarse),
-        ("c4<=4p^(kt+k(t+1)^2)", c4 <= c4_coarse),
-        ("2c2c4A<=80p^(2nt+kt+k(t+1)^2)", c3 <= c3_coarse),
-        ("A<=10p^(2nt)", count_a <= a_coarse),
-        ("X>=p^(2nk-ceil(3k^2/2))", count_x >= x_lower),
-        ("c1_witness<=|detD||A|", c1_witness <= m * count_a),
-    )
-    return KlpBudget(
-        family=space.family,
-        n=n,
-        q=space.q,
-        p=p,
-        t=t,
-        k=k,
-        m=m,
-        gamma_l1=gamma_l1,
-        c1_upper_witness=c1_witness,
-        c1_coarse_bound=c1_coarse,
-        c2=1,
-        c3_from_c4=c3,
-        c3_coarse_bound=c3_coarse,
-        c4_exact=c4,
-        c4_coarse_bound=c4_coarse,
-        count_tspaces=count_a,
-        count_tspaces_coarse_bound=a_coarse,
-        dim_l_bound=dim_l,
-        count_kspaces=count_x,
-        count_kspaces_lower_bound=x_lower,
-        log_term=log_term,
-        n_threshold=n_threshold,
-        relaxed_threshold=relaxed,
-        theorem_cap_p_21nt=cap,
-        inequalities=inequalities,
-    )
+    return {
+        "family": space.family,
+        "n": n,
+        "q": space.q,
+        "p": p,
+        "t": t,
+        "k": k,
+        "m": m,
+        "gamma_l1": gamma_l1,
+        "c1_upper_witness": c1_witness,
+        "c1_coarse_bound": c1_coarse,
+        "c2": 1,
+        "c3_from_c4": c3,
+        "c3_coarse_bound": c3_coarse,
+        "c4_exact": c4,
+        "c4_coarse_bound": c4_coarse,
+        "count_tspaces": count_a,
+        "count_tspaces_coarse_bound": a_coarse,
+        "dim_l_bound": dim_l,
+        "count_kspaces": count_x,
+        "count_kspaces_lower_bound": x_lower,
+        "log_term": log_term,
+        "n_threshold": n_threshold,
+        "relaxed_threshold": relaxed,
+        "theorem_cap_p_21nt": p ** (21 * n * t),
+        "inequalities": (
+            ("c1_witness<=10p^(2nt+k(t+1)^2)", c1_witness <= c1_coarse),
+            ("c4<=4p^(kt+k(t+1)^2)", c4 <= c4_coarse),
+            ("2c2c4A<=80p^(2nt+kt+k(t+1)^2)", c3 <= c3_coarse),
+            ("A<=10p^(2nt)", count_a <= a_coarse),
+            ("X>=p^(2nk-ceil(3k^2/2))", count_x >= x_lower),
+            ("c1_witness<=|detD||A|", c1_witness <= m * count_a),
+        ),
+    }
 
 
 def feasibility_report(
@@ -165,22 +181,32 @@ def feasibility_report(
     The symmetry condition (C2) is an assumption here: the isometry group
     acts transitively on the k-spaces (classical), and the artifact does not
     compute orbits.
+
+    ``lambda_at_n`` is j*m*[k t]_p for the block count j*m*|A|, an integer
+    by construction, so ``lambda_is_integer`` is always true (see the module
+    docstring).
     """
-    budget = klp_budget(space, t, k, constant, c_prime)
-    c1w = budget.c1_upper_witness
-    n_blocks = -(-budget.n_threshold // c1w) * c1w
-    lam = lambda_ratio(space, t, k, n_blocks)
+    constant, c_prime = Fraction(constant), Fraction(c_prime)
+    budget = _budget_fields(space, t, k, constant, c_prime)
+    c1w = budget["c1_upper_witness"]
+    n_blocks = -(-budget["n_threshold"] // c1w) * c1w
+    # lambda = n_blocks N(t->k) / |X| = n_blocks [k t]_p / |A| (double
+    # counting), and n_blocks = j m |A|, so lambda = j m [k t]_p
+    jm, remainder = divmod(n_blocks, budget["count_tspaces"])
+    if remainder:
+        raise AssertionError("|A| does not divide the block count")
+    lam = jm * gaussian_binomial(k, t, space.p)
     return {
-        **vars(budget),
-        "constant_C": decimal_string(Fraction(constant)),
-        "constant_c_prime": decimal_string(Fraction(c_prime)),
+        **budget,
+        "constant_C": decimal_string(constant),
+        "constant_c_prime": decimal_string(c_prime),
         "k_exceeds_21t_over_2": 2 * k > 21 * t,
         "smallest_feasible_multiple": n_blocks,
-        "n_fits_within_x": n_blocks <= budget.count_kspaces - budget.n_threshold,
-        "n_within_theorem_cap": n_blocks <= budget.theorem_cap_p_21nt,
+        "n_fits_within_x": n_blocks <= budget["count_kspaces"] - budget["n_threshold"],
+        "n_within_theorem_cap": n_blocks <= budget["theorem_cap_p_21nt"],
         "lambda_at_n": decimal_string(lam),
-        "lambda_is_integer": lam.denominator == 1,
-        "inequalities": dict(budget.inequalities),
+        "lambda_is_integer": True,
+        "inequalities": dict(budget["inequalities"]),
         "assumptions": {
             "symmetry_c2": "isometry group transitivity (classical), not computed",
             "c1": "upper witness m*|A|, not the minimal divisibility constant",

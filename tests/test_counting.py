@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -148,3 +150,31 @@ def test_lambda_ratio_simplification_everywhere():
                     tspaces *= power_half(space.p, 2 * (space.n - i) + space.twice_e) + 1
                 want = Fraction(7 * gaussian_binomial(k, t, space.p), tspaces)
                 assert lambda_ratio(space, t, k, 7) == want
+
+
+# prime powers up to 32; the Hermitian families (field order q^2) at the squares
+_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+def test_through_counts_are_pinned():
+    # value and factors of every count through a t-space: all six families,
+    # field order <= 32, n <= 23, 0 <= t <= k <= min(n, 8)
+    digest = hashlib.sha256()
+    for p in _ORDERS:
+        for family in ("2A-odd", "2A-even", "B", "C", "D", "2D"):
+            if family.startswith("2A"):
+                if isqrt(p) ** 2 != p:
+                    continue
+                q = isqrt(p)
+            else:
+                q = p
+            for n in range(1, 24):
+                space = standard_polar_space(family, n, q)
+                for k in range(min(n, 8) + 1):
+                    for t in range(k + 1):
+                        expr = polar_count_through_expr(space, t, k)
+                        line = [family, p, n, t, k, expr.value, *expr.factors]
+                        digest.update(" ".join(map(str, line)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "8f5b7e349cb42262f7d78039959e5a3203813ff7e78932a646fa042400f7bc6e"
+    )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import reference_klp_thresholds
 from polardesign.counting import (
+    decimal_string,
     gaussian_binomial,
+    lambda_ratio,
     polar_count,
     polar_count_through,
     power_half,
@@ -46,9 +49,24 @@ def _report_grid():
                         yield space, t, k
 
 
-def _reports_digest(constant, c_prime):
+def _wide_report_grid():
+    # the orders p in {5, 9, 25, 32} of the benchmark's sweep, the Hermitian
+    # families at p = 9 and 25 (half-integer e); n <= 23, t <= 3, k <= 7
+    for p in (5, 9, 25, 32):
+        for family in ("2A-odd", "2A-even", "B", "C", "D", "2D"):
+            hermitian = family.startswith("2A")
+            if hermitian and p not in (9, 25):
+                continue
+            q = isqrt(p) if hermitian else p
+            for t in (1, 2, 3):
+                for k in range(t, 8):
+                    for n in range(t + k, 24):
+                        yield standard_polar_space(family, n, q), t, k
+
+
+def _reports_digest(constant, c_prime, grid=_report_grid):
     digest = hashlib.sha256()
-    for space, t, k in _report_grid():
+    for space, t, k in grid():
         report = feasibility_report(space, t, k, constant, c_prime)
         digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
     return digest.hexdigest()
@@ -214,6 +232,21 @@ def test_feasibility_reports_are_pinned(constant, c_prime, digest):
     assert _reports_digest(constant, c_prime) == digest
 
 
+@pytest.mark.parametrize(
+    "constant,c_prime,digest",
+    [
+        (1, 1,
+         "446522f6053d80377b1664058bb66a1bb4ffa8de7bcacfc1bd088b5457a59a22"),
+        (Fraction(3, 2), Fraction(2, 3),
+         "eb3cbc48566c3651945dd3eae342a4b323b09d61bb225d6fd717afb383ff5f99"),
+    ],
+)  # fmt: skip
+def test_wide_feasibility_reports_are_pinned(constant, c_prime, digest):
+    # every field of every report at orders, ranks and t that the grid above
+    # does not reach
+    assert _reports_digest(constant, c_prime, _wide_report_grid) == digest
+
+
 _SWEEP = list(_sweep())
 _POSITIVE_FRACTIONS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
 
@@ -232,3 +265,19 @@ def test_thresholds_match_the_fraction_products(case, constant, c_prime):
     budget = klp_budget(space, t, k, constant, c_prime)
     expected = reference_klp_thresholds(budget, constant, c_prime)
     assert (budget.n_threshold, budget.relaxed_threshold) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    case=st.sampled_from(_SWEEP),
+    constant=_POSITIVE_FRACTIONS,
+    c_prime=_POSITIVE_FRACTIONS,
+)
+def test_lambda_at_n_matches_the_fraction_ratio(case, constant, c_prime):
+    # the report's closed form j m [k t]_p against lambda_ratio's Fraction
+    space, t, k = case
+    report = feasibility_report(space, t, k, constant, c_prime)
+    n_blocks = report["smallest_feasible_multiple"]
+    assert report["lambda_at_n"] == decimal_string(lambda_ratio(space, t, k, n_blocks))
+    assert n_blocks % report["c1_upper_witness"] == 0
+    assert report["lambda_is_integer"] is True
