@@ -43,7 +43,7 @@ from .incidence import (
     verify_design,
     write_certificate,
 )
-from .klp import KlpBudget, feasibility_report, klp_budget
+from .klp import feasibility_report, klp_budget
 from .search import (
     CoverMatrix,
     DivisibilityError,
@@ -65,7 +65,6 @@ __all__ = [
     "DivisibilityError",
     "FieldTable",
     "FormEvaluator",
-    "KlpBudget",
     "PolarSpace",
     "SearchFailure",
     "SearchProblem",

@@ -16,14 +16,18 @@ from math import isqrt
 
 def decimal_string(value: int | Fraction) -> str:
     """Exact decimal text of an integer, or of a fraction as "num/den" (just
-    "num" when the denominator is 1), matching ``str`` at any size: ``str``
-    refuses integers longer than sys.get_int_max_str_digits() (4300 digits by
-    default), while converting through Decimal has no such limit."""
+    "num" when the denominator is 1), at any size.  ``format`` refuses
+    integers longer than sys.get_int_max_str_digits() (4300 digits by
+    default); only those go through Decimal, which has no such limit.  Both
+    write a bool as its integer, unlike ``str``."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return decimal_string(value.numerator)
         return f"{decimal_string(value.numerator)}/{decimal_string(value.denominator)}"
-    return str(Decimal(value))
+    try:
+        return format(value, "d")
+    except ValueError:
+        return str(Decimal(value))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

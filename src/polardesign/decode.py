@@ -61,7 +61,8 @@ def _det_exact(rows: Sequence[Sequence[int]]) -> int:
 @dataclass(frozen=True)
 class DecodingSystem:
     """Upper-triangular system D f = (0, .., 0, m)^T with integer solution,
-    where m = det D, and ||gamma_V||_1 from ``gamma_l1_exact``."""
+    where m = det D, and the closed form of ||gamma_V||_1: k-subspaces of the
+    (k+t)-space W grouped by their intersection dimension with V."""
 
     p: int
     t: int
@@ -137,19 +138,13 @@ def determinant_bound(system: DecodingSystem) -> int:
 class DeterminantBoundReport:
     ok: bool
     bound: int
-    det_margin: int
-    col_margins: tuple[int, ...]
 
 
 def determinant_bound_check(system: DecodingSystem) -> DeterminantBoundReport:
     """Exact-integer comparison of |det D|, |det D_j| against the bound."""
     bound = determinant_bound(system)
-    det_margin = bound - system.m
-    col_margins = tuple(bound - abs(x) for x in system.det_cols)
-    ok = det_margin >= 0 and all(mg >= 0 for mg in col_margins)
-    return DeterminantBoundReport(
-        ok=ok, bound=bound, det_margin=det_margin, col_margins=col_margins
-    )
+    ok = system.m <= bound and all(abs(x) <= bound for x in system.det_cols)
+    return DeterminantBoundReport(ok=ok, bound=bound)
 
 
 def _gamma_l1(p: int, t: int, k: int, f: Sequence[int]) -> int:
@@ -162,13 +157,6 @@ def _gamma_l1(p: int, t: int, k: int, f: Sequence[int]) -> int:
         )
         total += abs(f[j]) * count
     return total
-
-
-def gamma_l1_exact(system: DecodingSystem) -> int:
-    """||gamma_V||_1 in closed form: k-subspaces of the (k+t)-space W grouped
-    by their intersection dimension with V.  ``build_decoding_system`` stores
-    this value as ``system.gamma_l1``."""
-    return _gamma_l1(system.p, system.t, system.k, system.f)
 
 
 @dataclass(frozen=True)
@@ -244,6 +232,6 @@ def verify_local_decodability(
         wspace=wspace,
         checked=len(level),
         violations=tuple(violations),
-        l1_formula_consistent=gamma_l1 == gamma_l1_exact(system),
+        l1_formula_consistent=gamma_l1 == system.gamma_l1,
         l1_coarse_bound_ok=gamma_l1 <= coarse_l1_bound,
     )

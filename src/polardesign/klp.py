@@ -5,7 +5,8 @@ The unspecified universal constants (C in the existence theorem, c' in the
 relaxed threshold) are user parameters defaulting to 1; the log^6 factor is
 evaluated with an integer ceil(log2) so the whole pipeline stays float-free.
 The divisibility constant is reported as the upper witness m*|A|, not the
-true minimum.
+true minimum.  ``klp_budget`` returns the chain as one dict, which
+``feasibility_report`` extends with the block count and lambda.
 
 Each exact integer is computed once per report.  The block count is the
 least multiple j*m*|A| of that witness at or above the threshold.  Double
@@ -19,7 +20,6 @@ name and value because the layerbench digests cover it, as they do the flag
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import decimal_string, gaussian_binomial, polar_count
@@ -34,10 +34,18 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class KlpBudget:
+def klp_budget(
+    space: PolarSpace,
+    t: int,
+    k: int,
+    constant: Fraction | int = 1,
+    c_prime: Fraction | int = 1,
+) -> dict:
     """Exact witnesses and coarse closed-form caps for c1..c4, |A|, dim L
-    and |X|.
+    and |X| at one (space, t, k), as the dict that ``feasibility_report``
+    extends.  Inequality outcomes are recorded as flags in the
+    ``inequalities`` dict rather than asserted, so reports exist even where
+    a coarse bound fails.
 
     ``count_kspaces_lower_bound`` is the closed form p^(2nk - ceil(3k^2/2)).
     It is derived from |X| >= p^(2nk - (3k^2-k)/2 + ke) and is valid for
@@ -52,54 +60,13 @@ class KlpBudget:
     flag compares that witness with itself.  It stays until the least c1 is
     computed (a separate ``lattice`` computation, planned); its name and
     value are unchanged, because the layerbench digests cover them."""
-
-    family: str
-    n: int
-    q: int
-    p: int
-    t: int
-    k: int
-    m: int
-    gamma_l1: int
-    c1_upper_witness: int
-    c1_coarse_bound: int
-    c2: int
-    c3_from_c4: int
-    c3_coarse_bound: int
-    c4_exact: int
-    c4_coarse_bound: int
-    count_tspaces: int
-    count_tspaces_coarse_bound: int
-    dim_l_bound: int
-    count_kspaces: int
-    count_kspaces_lower_bound: int
-    log_term: int
-    n_threshold: int
-    relaxed_threshold: int
-    theorem_cap_p_21nt: int
-    inequalities: tuple[tuple[str, bool], ...]
-
-
-def klp_budget(
-    space: PolarSpace,
-    t: int,
-    k: int,
-    constant: Fraction | int = 1,
-    c_prime: Fraction | int = 1,
-) -> KlpBudget:
-    """Assemble the budget for one (space, t, k); inequality outcomes are
-    recorded as flags rather than asserted, so reports exist even where a
-    coarse bound fails.  The |X| lower bound and its flag are the closed
-    form valid for e >= -1/2 (see KlpBudget); on the hyperbolic family
-    (e = -1) the flag can be False."""
-    return KlpBudget(**_budget_fields(space, t, k, Fraction(constant), Fraction(c_prime)))
+    return _budget_fields(space, t, k, Fraction(constant), Fraction(c_prime))
 
 
 def _budget_fields(
     space: PolarSpace, t: int, k: int, constant: Fraction, c_prime: Fraction
 ) -> dict:
-    """The fields of ``KlpBudget``, in its field order, as a dict, which
-    ``feasibility_report`` reads without building the frozen dataclass."""
+    """The body of ``klp_budget``, for constants already made ``Fraction``."""
     # a Fraction keeps its sign in the numerator
     if constant.numerator <= 0 or c_prime.numerator <= 0:
         raise ValueError("the universal constants must be positive")
@@ -157,14 +124,14 @@ def _budget_fields(
         "n_threshold": n_threshold,
         "relaxed_threshold": relaxed,
         "theorem_cap_p_21nt": p ** (21 * n * t),
-        "inequalities": (
-            ("c1_witness<=10p^(2nt+k(t+1)^2)", c1_witness <= c1_coarse),
-            ("c4<=4p^(kt+k(t+1)^2)", c4 <= c4_coarse),
-            ("2c2c4A<=80p^(2nt+kt+k(t+1)^2)", c3 <= c3_coarse),
-            ("A<=10p^(2nt)", count_a <= a_coarse),
-            ("X>=p^(2nk-ceil(3k^2/2))", count_x >= x_lower),
-            ("c1_witness<=|detD||A|", c1_witness <= m * count_a),
-        ),
+        "inequalities": {
+            "c1_witness<=10p^(2nt+k(t+1)^2)": c1_witness <= c1_coarse,
+            "c4<=4p^(kt+k(t+1)^2)": c4 <= c4_coarse,
+            "2c2c4A<=80p^(2nt+kt+k(t+1)^2)": c3 <= c3_coarse,
+            "A<=10p^(2nt)": count_a <= a_coarse,
+            "X>=p^(2nk-ceil(3k^2/2))": count_x >= x_lower,
+            "c1_witness<=|detD||A|": c1_witness <= m * count_a,
+        },
     }
 
 
@@ -206,7 +173,6 @@ def feasibility_report(
         "n_within_theorem_cap": n_blocks <= budget["theorem_cap_p_21nt"],
         "lambda_at_n": decimal_string(lam),
         "lambda_is_integer": True,
-        "inequalities": dict(budget["inequalities"]),
         "assumptions": {
             "symmetry_c2": "isometry group transitivity (classical), not computed",
             "c1": "upper witness m*|A|, not the minimal divisibility constant",

@@ -465,11 +465,11 @@ def reference_multicover(n_constraints, options, lam, node_budget):
 # The Fraction-product form of the two KLP thresholds that klp.klp_budget
 # replaced by integer floor division, kept as the oracle for its ceilings.
 def reference_klp_thresholds(budget, constant, c_prime) -> tuple[int, int]:
-    """(n_threshold, relaxed_threshold) of a KlpBudget at the universal
+    """(n_threshold, relaxed_threshold) of a klp_budget dict at the universal
     constants C and c': ceil(C*c3^2*dimL^6*log^6) and ceil(c'*c3^3*dimL^7),
     as exact Fraction products rounded up."""
-    c3, dim_l = budget.c3_from_c4, budget.dim_l_bound
+    c3, dim_l = budget["c3_from_c4"], budget["dim_l_bound"]
     return (
-        ceil(Fraction(constant) * c3**2 * dim_l**6 * budget.log_term**6),
+        ceil(Fraction(constant) * c3**2 * dim_l**6 * budget["log_term"]**6),
         ceil(Fraction(c_prime) * c3**3 * dim_l**7),
     )

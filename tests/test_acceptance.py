@@ -192,10 +192,10 @@ def test_criterion_6_bound_chain():
                         space = standard_polar_space(family, n, q)
                         budget = klp_budget(space, t, k)
                         instance = (family, q, n, t, k)
-                        for name, ok in budget.inequalities:
+                        for name, ok in budget["inequalities"].items():
                             if name != X_CLOSED_FORM and not ok:
                                 failures.append((*instance, name))
-                        stated = dict(budget.inequalities)[X_CLOSED_FORM]
+                        stated = budget["inequalities"][X_CLOSED_FORM]
                         if space.twice_e >= -1:
                             # e >= -1/2: the stated closed form must hold
                             if not stated:
@@ -203,13 +203,13 @@ def test_criterion_6_bound_chain():
                         else:
                             # e = -1: |X| >= p^(2nk - k(3k+1)/2)
                             x_lower = p ** (2 * n * k - k * (3 * k + 1) // 2)
-                            if budget.count_kspaces < x_lower:
+                            if budget["count_kspaces"] < x_lower:
                                 failures.append(
                                     (*instance, "X>=p^(2nk-k(3k+1)/2)")
                                 )
                             if stated != (
-                                budget.count_kspaces
-                                >= budget.count_kspaces_lower_bound
+                                budget["count_kspaces"]
+                                >= budget["count_kspaces_lower_bound"]
                             ):
                                 failures.append(
                                     (*instance, f"{X_CLOSED_FORM} flag disagrees")

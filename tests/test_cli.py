@@ -370,7 +370,7 @@ def test_integers_beyond_the_str_digit_limit_are_printed_exactly(capsys):
     sys.set_int_max_str_digits(0)
     try:
         space = standard_polar_space("2A-odd", 60, 5)
-        want = klp_budget(space, 3, 7).theorem_cap_p_21nt
+        want = klp_budget(space, 3, 7)["theorem_cap_p_21nt"]
         assert report["theorem_cap_p_21nt"] == str(want) and len(str(want)) > limit
         want = polar_count(standard_polar_space("C", 200, 2), 200)
         assert count == str(want) and len(count) > limit

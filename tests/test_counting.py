@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -7,6 +9,7 @@ import pytest
 from oracles import naive_all_subspaces
 from polardesign.counting import (
     CountExpression,
+    decimal_string,
     gaussian_binomial,
     lambda_ratio,
     fixed_intersection_count,
@@ -178,3 +181,28 @@ def test_through_counts_are_pinned():
     assert digest.hexdigest() == (
         "8f5b7e349cb42262f7d78039959e5a3203813ff7e78932a646fa042400f7bc6e"
     )
+
+
+def _repdigit(digits: int) -> int:
+    return 7 * (10**digits - 1) // 9  # 77...7
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_decimal_string_matches_decimal_across_the_digit_limit(limit):
+    # Decimal text of each integer, and of a fraction's parts, is the oracle;
+    # values sit just under, at and just over sys.get_int_max_str_digits()
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        ints = [0, 1, -1, True, False]  # str(True) would be "True"
+        for digits in (limit - 1, limit, limit + 1, 4299, 4300, 4301):
+            ints += [_repdigit(digits), -_repdigit(digits)]
+        for value in ints:
+            assert decimal_string(value) == str(Decimal(value))
+        big, small = _repdigit(limit + 1), 3
+        for value in (Fraction(big, small), Fraction(-small, big), Fraction(big, big + 1)):
+            want = f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+            assert decimal_string(value) == want
+        assert decimal_string(Fraction(-big, 1)) == str(Decimal(-big))
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -9,7 +9,6 @@ from polardesign.counting import gaussian_binomial, fixed_intersection_count
 from polardesign.decode import (
     build_decoding_system,
     determinant_bound_check,
-    gamma_l1_exact,
     verify_local_decodability,
 )
 from polardesign.fields import make_field
@@ -97,8 +96,9 @@ def test_system_invariants_sweep(p):
 
 
 def test_determinant_bound_report_examples():
-    report = determinant_bound_check(build_decoding_system(2, 1, 2))
-    assert report.ok and report.bound == 256 and report.det_margin == 250
+    system = build_decoding_system(2, 1, 2)
+    report = determinant_bound_check(system)
+    assert report.ok and report.bound == 256 and report.bound - system.m == 250
     report = determinant_bound_check(build_decoding_system(2, 1, 3))
     assert report.ok and report.bound == 2**12
     report = determinant_bound_check(build_decoding_system(3, 2, 3))
@@ -230,7 +230,7 @@ def test_gamma_l1_closed_form_matches_enumeration():
     # already covered on live spaces; spot-check the formula growth
     s = build_decoding_system(2, 1, 3)
     # 15 planes of a 4-space: 7 through V (f=4), 8 avoiding (f=-3)
-    assert gamma_l1_exact(s) == 7 * 4 + 8 * 3
+    assert s.gamma_l1 == 7 * 4 + 8 * 3
 
 
 def test_solution_against_rational_elimination():

@@ -85,15 +85,15 @@ def test_ceil_log2():
 def test_worked_budget_c3_q2():
     space = standard_polar_space("C", 3, 2)
     budget = klp_budget(space, 1, 2)
-    assert budget.count_tspaces == 63
-    assert budget.count_kspaces == 315
-    assert budget.c2 == 1
-    assert budget.c4_exact == 10
-    assert budget.c3_from_c4 == 2 * 10 * 63 == 1260
-    assert budget.c1_upper_witness == 6 * 63
-    assert budget.count_tspaces_coarse_bound == 10 * 2**6 == 640
-    assert budget.count_kspaces_lower_bound == 2**6 == 64
-    assert all(ok for _, ok in budget.inequalities)
+    assert budget["count_tspaces"] == 63
+    assert budget["count_kspaces"] == 315
+    assert budget["c2"] == 1
+    assert budget["c4_exact"] == 10
+    assert budget["c3_from_c4"] == 2 * 10 * 63 == 1260
+    assert budget["c1_upper_witness"] == 6 * 63
+    assert budget["count_tspaces_coarse_bound"] == 10 * 2**6 == 640
+    assert budget["count_kspaces_lower_bound"] == 2**6 == 64
+    assert all(budget["inequalities"].values())
 
 
 def test_budget_parameter_validation():
@@ -111,7 +111,7 @@ def test_bound_chain_for_non_hyperbolic_families():
         if space.family == "D":
             continue
         budget = klp_budget(space, t, k)
-        assert all(ok for _, ok in budget.inequalities), (space, t, k)
+        assert all(budget["inequalities"].values()), (space, t, k)
 
 
 def test_hyperbolic_x_lower_bound_counterexample():
@@ -119,10 +119,10 @@ def test_hyperbolic_x_lower_bound_counterexample():
     # earliest sweep instance: D_3 q=3, k=2
     space = standard_polar_space("D", 3, 3)
     budget = klp_budget(space, 1, 2)
-    assert budget.count_kspaces == 520
-    assert budget.count_kspaces_lower_bound == 3**6 == 729
-    assert not dict(budget.inequalities)["X>=p^(2nk-ceil(3k^2/2))"]
-    others = [ok for name, ok in budget.inequalities if not name.startswith("X>=")]
+    assert budget["count_kspaces"] == 520
+    assert budget["count_kspaces_lower_bound"] == 3**6 == 729
+    assert not budget["inequalities"]["X>=p^(2nk-ceil(3k^2/2))"]
+    others = [ok for name, ok in budget["inequalities"].items() if not name.startswith("X>=")]
     assert all(others)
 
 
@@ -131,7 +131,7 @@ def test_hyperbolic_bound_chain_except_x_lower_bound():
         if space.family != "D":
             continue
         budget = klp_budget(space, t, k)
-        for name, ok in budget.inequalities:
+        for name, ok in budget["inequalities"].items():
             if not name.startswith("X>="):
                 assert ok, (space, t, k, name)
 
@@ -168,12 +168,12 @@ def test_threshold_monotone_in_constant_and_c3():
     base = klp_budget(space, 1, 2)
     double = klp_budget(space, 1, 2, constant=2)
     half = klp_budget(space, 1, 2, constant=Fraction(1, 2))
-    assert half.n_threshold <= base.n_threshold <= double.n_threshold
+    assert half["n_threshold"] <= base["n_threshold"] <= double["n_threshold"]
     # larger k raises c4 hence c3 while |A| (and dim L) stays fixed
     bigger = klp_budget(space, 1, 3)
-    assert bigger.c3_from_c4 > base.c3_from_c4
-    assert bigger.count_tspaces == base.count_tspaces
-    assert bigger.n_threshold > base.n_threshold
+    assert bigger["c3_from_c4"] > base["c3_from_c4"]
+    assert bigger["count_tspaces"] == base["count_tspaces"]
+    assert bigger["n_threshold"] > base["n_threshold"]
 
 
 def test_feasibility_report_contents():
@@ -213,8 +213,8 @@ def test_n_threshold_exact_value_small_case():
     budget = klp_budget(space, 1, 2)
     c3, dim_l = 1260, 63
     log_term = ceil_log2(2 * c3 * dim_l)
-    assert budget.log_term == log_term
-    assert budget.n_threshold == c3**2 * dim_l**6 * log_term**6
+    assert budget["log_term"] == log_term
+    assert budget["n_threshold"] == c3**2 * dim_l**6 * log_term**6
 
 
 @pytest.mark.parametrize(
@@ -251,6 +251,16 @@ _SWEEP = list(_sweep())
 _POSITIVE_FRACTIONS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
 
 
+@pytest.mark.parametrize("constant,c_prime", [(1, 1), (Fraction(3, 2), Fraction(2, 3))])
+def test_klp_budget_is_the_report_budget(constant, c_prime):
+    # the budget is one dict, and the report extends it unchanged
+    for space, t, k in _SWEEP:
+        budget = klp_budget(space, t, k, constant, c_prime)
+        report = feasibility_report(space, t, k, constant, c_prime)
+        assert type(budget) is dict
+        assert {key: report[key] for key in budget} == budget, (space, t, k)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     case=st.sampled_from(_SWEEP),
@@ -264,7 +274,7 @@ def test_thresholds_match_the_fraction_products(case, constant, c_prime):
     space, t, k = case
     budget = klp_budget(space, t, k, constant, c_prime)
     expected = reference_klp_thresholds(budget, constant, c_prime)
-    assert (budget.n_threshold, budget.relaxed_threshold) == expected
+    assert (budget["n_threshold"], budget["relaxed_threshold"]) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
