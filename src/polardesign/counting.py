@@ -8,26 +8,66 @@ exponents over sqrt(p), so no intermediate ever leaves the integers.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+
+# below this many bits an int goes to Decimal directly
+_DECIMAL_LEAF_BITS = 128
 
 
 def decimal_string(value: int | Fraction) -> str:
     """Exact decimal text of an integer, or of a fraction as "num/den" (just
     "num" when the denominator is 1), at any size.  ``format`` refuses
     integers longer than sys.get_int_max_str_digits() (4300 digits by
-    default); only those go through Decimal, which has no such limit.  Both
-    write a bool as its integer, unlike ``str``."""
-    if isinstance(value, Fraction):
+    default); only those go through ``_big_int_decimal``, which has no such
+    limit.  Both write a bool as its integer, unlike ``str``."""
+    if type(value) is not int and isinstance(value, Fraction):
         if value.denominator == 1:
             return decimal_string(value.numerator)
         return f"{decimal_string(value.numerator)}/{decimal_string(value.denominator)}"
     try:
         return format(value, "d")
     except ValueError:
-        return str(Decimal(value))
+        return str(_big_int_decimal(value))
+
+
+def _big_int_decimal(value: int) -> decimal.Decimal:
+    """Decimal(value) in subquadratic time: split the bits in halves,
+    convert each, and join them as lo + hi * 2^w in exact Decimal
+    arithmetic, whose big products are fast.  ``Decimal(value)`` itself is
+    quadratic in the number of digits.  The scheme is that of CPython 3.12's
+    ``_pylong.int_to_decimal``."""
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power_of_two(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= _DECIMAL_LEAF_BITS:
+                powers[w] = decimal.Decimal(2) ** w
+            elif w - 1 in powers:
+                powers[w] = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                # the smaller half first, so that w - half may reuse it
+                powers[w] = power_of_two(half) * power_of_two(w - half)
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * power_of_two(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        magnitude = convert(abs(value), abs(value).bit_length())
+        return -magnitude if value < 0 else magnitude
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -80,9 +120,13 @@ def polar_count(space, k: int) -> int:
     return polar_count_expr(space, k).value
 
 
+@lru_cache(maxsize=256)
 def polar_count_through_expr(space, t: int, k: int) -> CountExpression:
     """Factored count of isotropic k-spaces containing a fixed isotropic
-    t-space."""
+    t-space.  Memoised on the 256 most recently used (space, t, k): a sweep
+    of bound reports over n asks for the same counts again and again.
+    Invalid input raises on every call, since the cache stores no
+    exception."""
     if not 0 <= t <= k <= space.n:
         raise ValueError(f"need 0 <= t <= k <= {space.n}")
     p, rank, r = space.p, space.n - t, k - t

@@ -34,28 +34,39 @@ from .geometry import (
 )
 
 
-def _det_exact(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Gaussian (Bareiss) determinant over the integers."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i]:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
+def _hessenberg_det(h: Sequence[Sequence[int]]) -> int:
+    """Determinant of an upper Hessenberg integer matrix (h[i][j] = 0 for
+    i > j + 1), by the recurrence on its leading principal minors:
+    d_m = h[m-1][m-1] d_(m-1)
+          + sum_(i<m) (-1)^(m-i) h[i-1][m-1] h[i][i-1] .. h[m-1][m-2] d_(i-1)."""
+    minors = [1]
+    for m in range(1, len(h) + 1):
+        acc = h[m - 1][m - 1] * minors[m - 1]
+        chain = 1  # h[i][i-1] .. h[m-1][m-2], grown as i falls
+        for i in range(m - 1, 0, -1):
+            chain *= h[i][i - 1]
+            term = h[i - 1][m - 1] * chain * minors[i - 1]
+            acc += -term if (m - i) % 2 else term
+        minors.append(acc)
+    return minors[-1]
+
+
+def _cramer_numerators(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """det D_j for each column j, where D_j is the upper-triangular D with
+    column j replaced by the last unit vector.  Expanding D_j along that
+    column leaves D without row t and column j, which is block triangular:
+    det D_j = (-1)^(t+j) D_00 .. D_(j-1)(j-1) det H_j, where H_j (rows
+    j..t-1, columns j+1..t of D) is upper Hessenberg."""
+    t = len(matrix) - 1
+    if any(matrix[r][c] for r in range(t + 1) for c in range(r)):
+        raise AssertionError("D has a nonzero entry below its diagonal")
+    dets, diagonal = [], 1
+    for j in range(t + 1):
+        h = [row[j + 1 :] for row in matrix[j:t]]
+        sign = -1 if (t + j) % 2 else 1
+        dets.append(sign * diagonal * _hessenberg_det(h))
+        diagonal *= matrix[j][j]
+    return dets
 
 
 @dataclass(frozen=True)
@@ -107,14 +118,8 @@ def build_decoding_system(p: int, t: int, k: int) -> DecodingSystem:
         f[ell] = quotient
 
     # independent path: Cramer column determinants
-    det_cols = []
-    for j in range(size):
-        modified = [
-            [1 if c == j and r == t else (0 if c == j else matrix[r][c]) for c in range(size)]
-            for r in range(size)
-        ]
-        det_cols.append(_det_exact(modified))
-    if list(det_cols) != f:
+    det_cols = _cramer_numerators(matrix)
+    if det_cols != f:
         raise AssertionError("back-substitution and column determinants disagree")
 
     return DecodingSystem(

@@ -8,9 +8,10 @@ The divisibility constant is reported as the upper witness m*|A|, not the
 true minimum.  ``klp_budget`` returns the chain as one dict, which
 ``feasibility_report`` extends with the block count and lambda.
 
-Each exact integer is computed once per report.  The block count is the
-least multiple j*m*|A| of that witness at or above the threshold.  Double
-counting gives |A| * N(t->k) = |X| * [k t]_p, where N(t->k) counts the
+Each exact integer is computed once per report, and |A| and |X| come from
+the count memo of ``counting``, which a sweep over n shares across its
+reports.  The block count is the least multiple j*m*|A| of that witness at
+or above the threshold.  Double counting gives |A| * N(t->k) = |X| * [k t]_p, where N(t->k) counts the
 k-spaces through one t-space, so lambda at that count is
 j*m*|A| * N(t->k) / |X| = j*m*[k t]_p: an integer by construction.  The
 report's ``lambda_is_integer`` flag is therefore always true; it keeps its
@@ -60,14 +61,20 @@ def klp_budget(
     flag compares that witness with itself.  It stays until the least c1 is
     computed (a separate ``lattice`` computation, planned); its name and
     value are unchanged, because the layerbench digests cover them."""
-    return _budget_fields(space, t, k, Fraction(constant), Fraction(c_prime))
+    return _budget_fields(space, t, k, _exact(constant), _exact(c_prime))
+
+
+def _exact(value) -> Fraction | int:
+    """An int as it is, since it has ``numerator`` and ``denominator``
+    already; anything else (a bool too) through ``Fraction``."""
+    return value if type(value) is int else Fraction(value)
 
 
 def _budget_fields(
-    space: PolarSpace, t: int, k: int, constant: Fraction, c_prime: Fraction
+    space: PolarSpace, t: int, k: int, constant: Fraction | int, c_prime: Fraction | int
 ) -> dict:
-    """The body of ``klp_budget``, for constants already made ``Fraction``."""
-    # a Fraction keeps its sign in the numerator
+    """The body of ``klp_budget``, for constants already made exact."""
+    # an int or Fraction keeps its sign in the numerator
     if constant.numerator <= 0 or c_prime.numerator <= 0:
         raise ValueError("the universal constants must be positive")
     if not 1 <= t <= k:
@@ -82,12 +89,14 @@ def _budget_fields(
     count_a = polar_count(space, t)
     count_x = polar_count(space, k)
 
+    # each power of p once; the coarse caps are products of them
+    p_2nt, p_kt, p_det = p ** (2 * n * t), p ** (k * t), p ** (k * (t + 1) ** 2)
     c1_witness = m * count_a
-    c1_coarse = 10 * p ** (2 * n * t + k * (t + 1) ** 2)
-    c4_coarse = 4 * p ** (k * t + k * (t + 1) ** 2)
+    c1_coarse = 10 * p_2nt * p_det
+    c4_coarse = 4 * p_kt * p_det
     c3 = 2 * 1 * c4 * count_a
-    c3_coarse = 80 * p ** (2 * n * t + k * t + k * (t + 1) ** 2)
-    a_coarse = 10 * p ** (2 * n * t)
+    c3_coarse = 80 * p_2nt * p_kt * p_det
+    a_coarse = 10 * p_2nt
     x_lower = p ** (2 * n * k - (3 * k * k + 1) // 2)
 
     dim_l = count_a
@@ -153,7 +162,7 @@ def feasibility_report(
     by construction, so ``lambda_is_integer`` is always true (see the module
     docstring).
     """
-    constant, c_prime = Fraction(constant), Fraction(c_prime)
+    constant, c_prime = _exact(constant), _exact(c_prime)
     budget = _budget_fields(space, t, k, constant, c_prime)
     c1w = budget["c1_upper_witness"]
     n_blocks = -(-budget["n_threshold"] // c1w) * c1w

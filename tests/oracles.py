@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, islice, product
 from math import ceil
 from operator import itemgetter
+from typing import Sequence
 
 from polardesign import _pykernels as kernels
 from polardesign.geometry import Subspace
@@ -473,3 +474,27 @@ def reference_klp_thresholds(budget, constant, c_prime) -> tuple[int, int]:
         ceil(Fraction(constant) * c3**2 * dim_l**6 * budget["log_term"]**6),
         ceil(Fraction(c_prime) * c3**3 * dim_l**7),
     )
+
+
+def _det_exact(rows: Sequence[Sequence[int]]) -> int:
+    """Fraction-free Gaussian (Bareiss) determinant over the integers."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for r in range(i + 1, n):
+                if a[r][i]:
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return sign * a[-1][-1]

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -206,3 +207,35 @@ def test_decimal_string_matches_decimal_across_the_digit_limit(limit):
         assert decimal_string(Fraction(-big, 1)) == str(Decimal(-big))
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_count_memo_gives_the_same_values_cold_and_warm():
+    # all six families at small ranks, every (t, k): the cleared cache, the
+    # warm cache and the undecorated function agree
+    keys = [
+        (space, t, k) for space in ALL_SMALL_SPACES for k in range(space.n + 1) for t in range(k + 1)
+    ]
+    polar_count_through_expr.cache_clear()
+    cold = [polar_count_through_expr(*key) for key in keys]
+    warm = [polar_count_through_expr(*key) for key in keys]
+    assert cold == warm == [polar_count_through_expr.__wrapped__(*key) for key in keys]
+
+
+def test_invalid_count_raises_on_every_call():
+    # the memo stores no exception, so a repeated bad call raises again
+    space = standard_polar_space("C", 3, 2)
+    for t, k in ((2, 1), (0, 4), (-1, 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                polar_count_through_expr(space, t, k)
+
+
+def test_decimal_string_matches_decimal_on_random_ints():
+    # the divide-and-conquer conversion against Decimal's own, both signs,
+    # up to 40,000 bits, and on each side of the 4300-digit limit
+    rng = random.Random(22)
+    values = [rng.getrandbits(rng.randrange(1, 40_001)) for _ in range(40)]
+    values += [10**4299, 10**4300 - 1, 10**4300, 10**4300 + 1, 2**40_000 - 1]
+    for value in values:
+        for signed in (value, -value):
+            assert decimal_string(signed) == str(Decimal(signed))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import bruteforce_fixed_intersection_counts
+from oracles import _det_exact, bruteforce_fixed_intersection_counts
 from polardesign import decode
 from polardesign.counting import gaussian_binomial, fixed_intersection_count
 from polardesign.decode import (
@@ -70,6 +70,27 @@ def test_invalid_parameters_raise_on_every_call():
         for _ in range(3):
             with pytest.raises(ValueError):
                 build_decoding_system(*args)
+
+
+def test_cofactor_determinants_match_bareiss():
+    # det D_j from the Hessenberg cofactors against the Bareiss determinant
+    # of D with column j replaced by the last unit vector
+    for p in (2, 3, 4, 5):
+        for t in range(1, 9):
+            for k in range(t, 10):
+                matrix = build_decoding_system(p, t, k).matrix
+                want = [
+                    _det_exact(
+                        [row[:j] + ((1 if r == t else 0),) + row[j + 1 :] for r, row in enumerate(matrix)]
+                    )
+                    for j in range(t + 1)
+                ]
+                assert decode._cramer_numerators(matrix) == want
+
+
+def test_cofactor_determinants_need_an_upper_triangular_matrix():
+    with pytest.raises(AssertionError, match="below its diagonal"):
+        decode._cramer_numerators(((2, 1), (1, 3)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 9, 25])

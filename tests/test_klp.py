@@ -190,6 +190,19 @@ def test_feasibility_report_contents():
     assert report["relaxed_threshold"] > 0
 
 
+def test_equal_constants_give_equal_reports():
+    # an int constant stays an int, anything else goes through Fraction;
+    # either way the report is the same
+    space = standard_polar_space("B", 4, 3)
+    reports = [feasibility_report(space, 1, 3, c, c) for c in (1, Fraction(1), "1", True)]
+    assert all(report == reports[0] for report in reports)
+    assert reports[0]["constant_C"] == reports[0]["constant_c_prime"] == "1"
+    assert feasibility_report(space, 1, 3, Fraction(3, 2), "2/3") == feasibility_report(
+        space, 1, 3, "3/2", Fraction(2, 3)
+    )
+    assert klp_budget(space, 1, 3, 1, True) == klp_budget(space, 1, 3, Fraction(1), "1")
+
+
 def test_feasibility_report_keys_are_pinned():
     report = feasibility_report(standard_polar_space("B", 4, 3), 1, 3)
     assert set(report) == {
