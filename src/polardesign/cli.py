@@ -15,6 +15,7 @@ import random
 import sys
 import traceback
 from fractions import Fraction
+from functools import cache
 
 from . import counting, decode, klp
 from .counting import decimal_string
@@ -85,7 +86,11 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: a parse keeps
+    no state in it, and argparse looks up sys.stdout and sys.stderr only
+    when it prints help or a usage error."""
     parser = argparse.ArgumentParser(
         prog="polardesign",
         description="Exact-arithmetic engine for designs in finite classical "

@@ -70,8 +70,12 @@ def _big_int_decimal(value: int) -> decimal.Decimal:
         return -magnitude if value < 0 else magnitude
 
 
+@lru_cache(maxsize=256)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-subspaces of F_p^n; 0 when k is out of range."""
+    """Number of k-subspaces of F_p^n; 0 when k is out of range.  Memoised
+    on the 256 most recently used (n, k, p): a sweep of bound reports asks
+    for the same few again and again.  Invalid input raises on every call,
+    since the cache stores no exception."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if p < 2:

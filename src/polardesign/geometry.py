@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import itemgetter
+from struct import Struct
 from typing import Iterator
 
 from . import _pykernels as kernels
@@ -404,16 +406,18 @@ def _rep_codes(t: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
-    """For each outer subspace, given by its canonical bytes, in order: the
-    canonical bytes of every t-subspace, one per RREF rep of ``_rep_codes``,
-    in that order.  The product of an RREF rep and an RREF basis is already
-    canonical, and row i of the product is the combination of the basis rows
-    by row i of the rep, so one kernel call gives every row of every product
-    over the whole batch.  Strided copies then interleave a rep's row strings
-    into one string of its products with every outer, outer by outer, and
-    each outer's product is one slice of it.  The outers must all have one
-    dimension k; ValueError otherwise."""
-    sizes = {len(data) for data in outers}
+    """One lazy column per RREF rep of ``_rep_codes``, in that order: the
+    canonical bytes of the rep's product with each outer subspace, given by
+    its canonical bytes, outer by outer.  The product of an RREF rep and an
+    RREF basis is already canonical, and row i of the product is the
+    combination of the basis rows by row i of the rep, so one kernel call,
+    made before this returns, gives every row of every product over the
+    whole batch.  A column is built when it is reached: strided copies
+    interleave its rep's row strings into one string of its products, and
+    ``struct.iter_unpack`` cuts that into t*d-byte records in C, so only the
+    strings of the columns not yet exhausted are alive.  The outers must all
+    have one dimension k; ValueError otherwise."""
+    sizes = set(map(len, outers))
     if len(sizes) > 1:
         raise ValueError(f"outer subspaces of different sizes {sorted(sizes)}")
     size = sizes.pop() if sizes else 0
@@ -424,23 +428,26 @@ def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
     needed = sorted({code for rep in reps for code in rep})
     combos = kernels.products(b"".join(outers), len(outers), k, d, needed, field)
     combo = dict(zip(needed, combos))
-    tsize = t * d
-    strings = []  # per rep, its product with every outer, outer by outer
-    for rep in reps:
-        string = bytearray(len(outers) * tsize)
+    count, tsize = len(outers), t * d
+    if not tsize:  # t = 0: the zero space in every outer; struct cuts no empty records
+        return (repeat(b"", count) for _ in reps)
+    record = Struct(f"{tsize}s")
+
+    def column(rep):
+        string = bytearray(count * tsize)
         for i, code in enumerate(rep):
             row = combo[code]
             for c in range(d):
                 string[i * d + c :: tsize] = row[c::d]
-        strings.append(bytes(string))
-    return ([s[i * tsize : (i + 1) * tsize] for s in strings] for i in range(len(outers)))
+        return map(itemgetter(0), record.iter_unpack(string))
+
+    return map(column, reps)
 
 
 def subspaces_within(field: FieldTable, outer: Subspace, t: int) -> list[Subspace]:
     """All t-subspaces of ``outer``."""
     d = outer.ambient
-    (subs,) = _tsubspace_bytes(field, [outer.data], d, t)
-    return [Subspace.from_bytes(b, t, d) for b in subs]
+    return [Subspace.from_bytes(b, t, d) for (b,) in _tsubspace_bytes(field, [outer.data], d, t)]
 
 
 def tspace_positions(
@@ -455,6 +462,13 @@ def tspace_positions(
     if not 0 <= t <= space.n:
         raise ValueError(f"t must lie in 0..{space.n}")
     level = _final_level(space, t, budget)
-    position = {data: i for i, data in enumerate(level)}.get
-    subs = _tsubspace_bytes(space.field, list(outers), space.d, t)
-    return level, [[position(data) for data in within] for within in subs]
+    position = dict(zip(level, range(len(level)))).get
+    outers = list(outers)
+    # one rep's column at a time, matched to the level in C, then per outer
+    columns = _tsubspace_bytes(space.field, outers, space.d, t)
+    columns = [list(map(position, column)) for column in columns]
+    if not columns:  # t > k: no outer has a t-subspace
+        return level, [[] for _ in outers]
+    # lists, not zip's tuples: freed tuples of one size wait on a free list
+    # that only a full collection empties, which held peak RSS higher
+    return level, list(map(list, zip(*columns)))

@@ -67,7 +67,7 @@ def cover_matrix(
     return CoverMatrix(
         tspaces=tuple(tspaces),
         kspaces=tuple(kspaces),
-        column_rows=tuple(tuple(sorted(rows)) for rows in positions),
+        column_rows=tuple(map(tuple, map(sorted, positions))),
     )
 
 

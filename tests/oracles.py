@@ -12,7 +12,14 @@ from operator import itemgetter
 from typing import Sequence
 
 from polardesign import _pykernels as kernels
-from polardesign.geometry import Subspace
+from polardesign.fields import FieldTable
+from polardesign.geometry import (
+    DEFAULT_ENUMERATION_BUDGET,
+    PolarSpace,
+    Subspace,
+    _final_level,
+    _rep_codes,
+)
 
 
 def all_vectors(p: int, d: int):
@@ -498,3 +505,59 @@ def _det_exact(rows: Sequence[Sequence[int]]) -> int:
             a[r][i] = 0
         prev = a[i][i]
     return sign * a[-1][-1]
+
+
+def reference_tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
+    """``geometry._tsubspace_bytes`` as it was before it gave per-rep
+    columns, the reference for them.
+
+    For each outer subspace, given by its canonical bytes, in order: the
+    canonical bytes of every t-subspace, one per RREF rep of ``_rep_codes``,
+    in that order.  The product of an RREF rep and an RREF basis is already
+    canonical, and row i of the product is the combination of the basis rows
+    by row i of the rep, so one kernel call gives every row of every product
+    over the whole batch.  Strided copies then interleave a rep's row strings
+    into one string of its products with every outer, outer by outer, and
+    each outer's product is one slice of it.  The outers must all have one
+    dimension k; ValueError otherwise."""
+    sizes = {len(data) for data in outers}
+    if len(sizes) > 1:
+        raise ValueError(f"outer subspaces of different sizes {sorted(sizes)}")
+    size = sizes.pop() if sizes else 0
+    if size % d:
+        raise ValueError(f"{size} codes do not form a matrix with {d} columns")
+    k = size // d
+    reps = _rep_codes(t, k, field.order)
+    needed = sorted({code for rep in reps for code in rep})
+    combos = kernels.products(b"".join(outers), len(outers), k, d, needed, field)
+    combo = dict(zip(needed, combos))
+    tsize = t * d
+    strings = []  # per rep, its product with every outer, outer by outer
+    for rep in reps:
+        string = bytearray(len(outers) * tsize)
+        for i, code in enumerate(rep):
+            row = combo[code]
+            for c in range(d):
+                string[i * d + c :: tsize] = row[c::d]
+        strings.append(bytes(string))
+    return ([s[i * tsize : (i + 1) * tsize] for s in strings] for i in range(len(outers)))
+
+
+def reference_tspace_positions(
+    space: PolarSpace, t: int, outers, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> tuple[list[bytes], list[list[int | None]]]:
+    """``geometry.tspace_positions`` as it was before it matched per-rep
+    columns, the reference for them.
+
+    The incidence of isotropic t-spaces with ``outers``, the canonical
+    bytes of subspaces of the ambient space, all of one dimension: level t
+    as canonical bytes in lexicographic order, and for each outer subspace
+    the positions in that list of its t-subspaces (None for one outside the
+    level).  Level t is read before ``outers`` is iterated; ValueError when
+    the outers differ in size or do not form matrices with d columns."""
+    if not 0 <= t <= space.n:
+        raise ValueError(f"t must lie in 0..{space.n}")
+    level = _final_level(space, t, budget)
+    position = {data: i for i, data in enumerate(level)}.get
+    subs = reference_tsubspace_bytes(space.field, list(outers), space.d, t)
+    return level, [[position(data) for data in within] for within in subs]

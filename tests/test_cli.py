@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
@@ -483,41 +485,42 @@ def test_deeply_nested_certificate_is_a_usage_error(tmp_path, capsys):
 _README_SEARCH = "search --family C --q 2 --n 3 --t 1 --k 3 --lambda 1 --output spread.json"
 
 
-@pytest.mark.parametrize(
-    "command,code,digest",
-    [
-        # the README commands, in README order
-        ("count --family C --q 2 --n 2 --k 1", 0,
-         "c30a6d7010dc62af5547a867fece96d964448257470911f6c4b520eb4f498ec2"),
-        ("enumerate --family D --q 2 --n 2 --k 1", 0,
-         "3fe298f97c88228939ebc70f146fe9ad54feffad45ecbc1b8b56947727da7ac7"),
-        ("verify-counts --family 2A-odd --q 2 --n 2 --samples 10", 0,
-         "413b0cdf1762da28dfa7a504a764fc8d0f1a8cb87f7b5e310562b256dadc7bcd"),
-        ("decode --p 2 --t 1 --k 2", 0,
-         "22e8f81efad3cc0d03ccd9ab14daf5723e41028f4a2dc335f69b855fa1db1148"),
-        ("verify-decode --family C --q 2 --n 3 --t 1 --k 2", 0,
-         "6012c36708a9591064e4cb4fe693f8c0d03878c0e7e2cc2706493ca7d2e79359"),
-        ("klp-report --family C --q 2 --n 3 --t 1 --k 2 --constant 1", 0,
-         "5ef8ddac985b49a1bf290ee5d743d5c1b74a7be96426e6dc9969d32d4d6082c8"),
-        ("klp-report --family C --q 2 --n 3 --t 1 --k 2 --constant 3/2 --c-prime 2/3", 0,
-         "c0c85c8cb283ea8731b37fcb14e62b9f7563b55ad847b6cf2cbc2a3a2d0a57c0"),
-        (_README_SEARCH, 0,
-         "9d343258ef22658987f86910023bde3ae4e19530d4527d56fb9a22f7b8668a62"),
-        ("verify-design spread.json", 0,
-         "0681d4fbb158aca93e6fb2bdda9dbb86a8effabf372b3720238a5faaeda3373b"),
-        # levels of a Hermitian and a parabolic space
-        ("enumerate --family 2A-even --q 2 --n 2 --k 2", 0,
-         "0d97d7c1ba423c5c66a70394a797762489afa15ff97c59a1213a5f94b73f9065"),
-        ("enumerate --family B --q 3 --n 2 --k 2", 0,
-         "de089dac6636aec7008de9d733e708212ffd56d9dd1f9f794be764c5b69d33a4"),
-        ("verify-counts --family 2A-odd --q 3 --n 2 --samples 10", 0,
-         "5a858131ae648e8a455451dd82456a9e36cfba6e9152e5f2c83b8513c6fb27dc"),
-        ("verify-decode --family C --q 3 --n 4 --t 1 --k 3", 0,
-         "85382b398af36c8cbe733808d4995f358faea41323cbdc5afe8d6237e9a0b1ed"),
-        ("search --family B --q 3 --n 3 --t 2 --k 3 --lambda 2 --node-budget 2000", 3,
-         "38c8f730eb4e2fef74204e6efa127492e8861b812ce228320c250df4903026c8"),
-    ],
-)
+# (command, exit code, sha256 of stdout)
+_PINNED = [
+    # the README commands, in README order
+    ("count --family C --q 2 --n 2 --k 1", 0,
+     "c30a6d7010dc62af5547a867fece96d964448257470911f6c4b520eb4f498ec2"),
+    ("enumerate --family D --q 2 --n 2 --k 1", 0,
+     "3fe298f97c88228939ebc70f146fe9ad54feffad45ecbc1b8b56947727da7ac7"),
+    ("verify-counts --family 2A-odd --q 2 --n 2 --samples 10", 0,
+     "413b0cdf1762da28dfa7a504a764fc8d0f1a8cb87f7b5e310562b256dadc7bcd"),
+    ("decode --p 2 --t 1 --k 2", 0,
+     "22e8f81efad3cc0d03ccd9ab14daf5723e41028f4a2dc335f69b855fa1db1148"),
+    ("verify-decode --family C --q 2 --n 3 --t 1 --k 2", 0,
+     "6012c36708a9591064e4cb4fe693f8c0d03878c0e7e2cc2706493ca7d2e79359"),
+    ("klp-report --family C --q 2 --n 3 --t 1 --k 2 --constant 1", 0,
+     "5ef8ddac985b49a1bf290ee5d743d5c1b74a7be96426e6dc9969d32d4d6082c8"),
+    ("klp-report --family C --q 2 --n 3 --t 1 --k 2 --constant 3/2 --c-prime 2/3", 0,
+     "c0c85c8cb283ea8731b37fcb14e62b9f7563b55ad847b6cf2cbc2a3a2d0a57c0"),
+    (_README_SEARCH, 0,
+     "9d343258ef22658987f86910023bde3ae4e19530d4527d56fb9a22f7b8668a62"),
+    ("verify-design spread.json", 0,
+     "0681d4fbb158aca93e6fb2bdda9dbb86a8effabf372b3720238a5faaeda3373b"),
+    # levels of a Hermitian and a parabolic space
+    ("enumerate --family 2A-even --q 2 --n 2 --k 2", 0,
+     "0d97d7c1ba423c5c66a70394a797762489afa15ff97c59a1213a5f94b73f9065"),
+    ("enumerate --family B --q 3 --n 2 --k 2", 0,
+     "de089dac6636aec7008de9d733e708212ffd56d9dd1f9f794be764c5b69d33a4"),
+    ("verify-counts --family 2A-odd --q 3 --n 2 --samples 10", 0,
+     "5a858131ae648e8a455451dd82456a9e36cfba6e9152e5f2c83b8513c6fb27dc"),
+    ("verify-decode --family C --q 3 --n 4 --t 1 --k 3", 0,
+     "85382b398af36c8cbe733808d4995f358faea41323cbdc5afe8d6237e9a0b1ed"),
+    ("search --family B --q 3 --n 3 --t 2 --k 3 --lambda 2 --node-budget 2000", 3,
+     "38c8f730eb4e2fef74204e6efa127492e8861b812ce228320c250df4903026c8"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", _PINNED)
 def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys, command, code, digest):
     # a change to enumeration, search or serialization that alters any output
     # byte of these commands changes a digest
@@ -526,3 +529,21 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys, c
         assert run_cli(capsys, *_README_SEARCH.split())[0] == 0
     got, out, _ = run_cli(capsys, *command.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_the_cached_parser_survives_errors_help_and_redirects(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process: a usage error first, then
+    # help written to another stream, must leave the README commands
+    # printing their pinned bytes to the stream of the moment
+    monkeypatch.chdir(tmp_path)
+    cli.build_parser.cache_clear()
+    code, out, err = run_cli(capsys, "count", "--family", "Z", "--q", "2", "--n", "2", "--k", "1")
+    assert (code, out) == (2, "") and "invalid choice" in err
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["--help"]) == 0
+    assert text.getvalue().startswith("usage: polardesign")
+    assert tuple(capsys.readouterr()) == ("", "")
+    for command, code, digest in _PINNED[:9]:
+        got, out, _ = run_cli(capsys, *command.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), command

@@ -230,6 +230,25 @@ def test_invalid_count_raises_on_every_call():
                 polar_count_through_expr(space, t, k)
 
 
+def test_gaussian_binomial_memo_gives_the_same_values_cold_and_warm():
+    # every (n, k, p) a bound report or a count asks for at small sizes, k
+    # past n included: the cleared cache, the warm cache and the undecorated
+    # function agree
+    keys = [(n, k, p) for p in (2, 3, 4, 5, 7, 9, 32) for n in range(9) for k in range(n + 2)]
+    gaussian_binomial.cache_clear()
+    cold = [gaussian_binomial(*key) for key in keys]
+    warm = [gaussian_binomial(*key) for key in keys]
+    assert cold == warm == [gaussian_binomial.__wrapped__(*key) for key in keys]
+
+
+def test_invalid_gaussian_binomial_raises_on_every_call():
+    # the memo stores no exception, so a repeated bad call raises again
+    for key in ((-1, 0, 2), (2, -1, 2), (2, 1, 1), (3, 1, 0)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gaussian_binomial(*key)
+
+
 def test_decimal_string_matches_decimal_on_random_ints():
     # the divide-and-conquer conversion against Decimal's own, both signs,
     # up to 40,000 bits, and on each side of the 4300-digit limit

@@ -81,23 +81,43 @@ def test_constant_row_sum_reports_a_missing_tspace(monkeypatch, family, n, q, t,
     assert report.checked == kspaces.index(first) > 0
 
 
+def _patch_tsubspaces_of(monkeypatch, outer, mutate):
+    """Make ``geometry._tsubspace_bytes`` give ``outer`` the t-subspaces
+    ``mutate`` makes of its own list, one per rep column; every other outer
+    keeps its entries."""
+    columns_of = geometry._tsubspace_bytes
+
+    def patched(field, outers, d, t):
+        columns = [list(column) for column in columns_of(field, outers, d, t)]
+        if outer in outers:
+            i = outers.index(outer)
+            for column, sub in zip(columns, mutate([column[i] for column in columns])):
+                column[i] = sub
+        return columns
+
+    monkeypatch.setattr(geometry, "_tsubspace_bytes", patched)
+
+
 def test_constant_row_sum_rejects_repeated_tspaces(monkeypatch):
     # a k-space whose t-subspaces all lie in the level but repeat one is
     # still a violation: the positions must be distinct
     space = standard_polar_space("C", 2, 2)
     kspaces = isotropic_kspaces(space, 2)
     bad = kspaces[4]
-    batched = geometry._tsubspace_bytes
-
-    def repeat_first(field, outers, d, t):
-        return [
-            subs[:1] + subs[:-1] if outer == bad.data else subs
-            for outer, subs in zip(outers, batched(field, outers, d, t))
-        ]
-
-    monkeypatch.setattr(geometry, "_tsubspace_bytes", repeat_first)
+    _patch_tsubspaces_of(monkeypatch, bad.data, lambda subs: subs[:1] + subs[:-1])
     report = constant_row_sum_check(space, 1, 2)
     assert not report.ok and report.checked == 4 and report.violation == (bad, 3)
+
+
+def test_constant_row_sum_rejects_tspaces_outside_the_level(monkeypatch):
+    # a k-space with [k t]_p distinct positions, one of them None, is a
+    # violation too: one of its t-subspaces is no isotropic t-space
+    space = standard_polar_space("C", 2, 2)
+    kspaces = isotropic_kspaces(space, 2)
+    bad = kspaces[4]
+    _patch_tsubspaces_of(monkeypatch, bad.data, lambda subs: [bytes(space.d)] + subs[1:])
+    report = constant_row_sum_check(space, 1, 2)
+    assert not report.ok and report.checked == 4 and report.violation == (bad, 2)
 
 
 @pytest.mark.parametrize("in_a_block,same_size", [(False, False), (True, False), (True, True)])

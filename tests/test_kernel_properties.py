@@ -2,17 +2,32 @@
 matrices with at most 7 columns.  The expected values are built from
 ``FieldTable.add/mul`` alone, never from the kernels: a full-rank matrix is
 drawn as an invertible mix of an RREF matrix, so its RREF is known in
-advance."""
+advance.  The t-space incidence built on the products kernel is checked
+against its per-outer reference in tests/oracles.py."""
+
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_products
+from oracles import reference_products, reference_tspace_positions, reference_tsubspace_bytes
 
 from polardesign._pykernels import products, rref
+from polardesign.counting import gaussian_binomial, polar_count
 from polardesign.fields import make_field
+from polardesign.geometry import (
+    FAMILY_NAMES,
+    Subspace,
+    isotropic_kspaces,
+    standard_polar_space,
+    subspaces_within,
+    tspace_positions,
+)
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+# the most t-subspaces per outer, and isotropic subspaces per level up to t,
+# that the incidence tests enumerate
+INCIDENCE_CAP = 1200
 
 
 @st.composite
@@ -144,3 +159,78 @@ def test_products_match_the_per_matrix_reference(p, data):
                 b"".join(map(flat, reps)), len(reps), t, k, flat(basis), d, field
             )
             assert b"".join(per_basis) == want
+
+
+def spaces_over(p):
+    """Every standard polar space over F_p with ambient dimension at most 7."""
+    q = isqrt(p)
+    spaces = []
+    for family in FAMILY_NAMES:
+        hermitian = family.startswith("2A")
+        if hermitian and q * q != p:
+            continue
+        for n in range(1, 4):
+            space = standard_polar_space(family, n, q if hermitian else p)
+            if space.d <= 7:
+                spaces.append(space)
+    return spaces
+
+
+def small_levels(space):
+    """The j whose levels 0..j of isotropic subspaces fit INCIDENCE_CAP."""
+    out = []
+    for j in range(space.n + 1):
+        if polar_count(space, j) > INCIDENCE_CAP:
+            break
+        out.append(j)
+    return out
+
+
+@pytest.mark.parametrize("p", ALL_ORDERS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_tspace_positions_match_the_per_outer_reference(p, data):
+    # per-rep columns matched and transposed against per-outer lists, list
+    # for list, on 0 to 6 outers: any k-spaces of the ambient space, whose
+    # t-subspaces may fall outside level t (None), and isotropic ones
+    space = data.draw(st.sampled_from(spaces_over(p)))
+    levels = small_levels(space)
+    t = data.draw(st.sampled_from(levels))
+    dims = [k for k in range(t, space.d + 1) if gaussian_binomial(k, t, p) <= INCIDENCE_CAP]
+    k = data.draw(st.sampled_from(dims))
+    outer = rref_matrices(p, k, space.d).map(flat)
+    if k in levels:
+        outer |= st.sampled_from([u.data for u in isotropic_kspaces(space, k)])
+    outers = data.draw(st.lists(outer, max_size=6))
+    level, positions = tspace_positions(space, t, outers)
+    assert all(type(found) is list for found in positions)
+    assert (level, positions) == reference_tspace_positions(space, t, outers)
+
+
+@pytest.mark.parametrize("p", ALL_ORDERS)
+def test_tspace_positions_mark_points_off_the_conic_none(p):
+    # the points of F_p^3 against the parabolic conic: p^2 + p + 1 points,
+    # of which p + 1 are isotropic and the other p^2 come out None
+    space = standard_polar_space("B", 1, p)
+    whole = bytes([1, 0, 0, 0, 1, 0, 0, 0, 1])
+    level, positions = tspace_positions(space, 1, [whole])
+    assert (level, positions) == reference_tspace_positions(space, 1, [whole])
+    assert len(level) == p + 1 and positions[0].count(None) == p * p
+
+
+@pytest.mark.parametrize("p", ALL_ORDERS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_subspaces_within_matches_the_per_outer_reference(p, data):
+    field = make_field(p)
+    d = data.draw(st.integers(1, 7))
+    pairs = [
+        (k, t)
+        for k in range(d + 1)
+        for t in range(k + 1)
+        if gaussian_binomial(k, t, p) <= INCIDENCE_CAP
+    ]
+    k, t = data.draw(st.sampled_from(pairs))
+    basis = Subspace.from_rows(d, data.draw(rref_matrices(p, k, d)))
+    (want,) = reference_tsubspace_bytes(field, [basis.data], d, t)
+    assert subspaces_within(field, basis, t) == [Subspace.from_bytes(b, t, d) for b in want]
