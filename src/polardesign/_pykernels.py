@@ -7,10 +7,9 @@ and add whole byte strings of codes with its 256-byte translate tables:
 ``products`` one string per row combination over a whole batch of bases,
 ``extend_level`` one string per column of the first rows of a group of
 level members that agree on their other rows.  ``extend_level`` takes the
-form, which carries the field, reads it once as nonzero terms and a
-conjugation table, and never branches on the form's kind inside its loops;
-it needs a complete level of canonical, totally isotropic subspaces and a
-form of the kind it names.
+``FormEvaluator``, which carries the field, and reads the form only through
+its ``pairing_row`` and ``is_isotropic_vector``; it needs a complete level of
+canonical, totally isotropic subspaces.
 """
 
 from __future__ import annotations
@@ -59,17 +58,6 @@ def rref(mat, rows, cols, field):
     return bytes(a), pivots
 
 
-def _terms(mat, d):
-    """The nonzero entries (g, c, a) of a d x d row-major matrix."""
-    return [(i // d, i % d, a) for i, a in enumerate(mat) if a]
-
-
-def _sigma(form):
-    """The conjugation table of a Hermitian form, the identity otherwise."""
-    field = form.field
-    return field.conj_table if form.kind == "hermitian" else bytes(range(field.order))
-
-
 def _add_strings(x, y, field):
     """The field sum of two equal-length strings of codes, entry by entry."""
     spread = field.spread_table
@@ -101,16 +89,12 @@ def extend_level(mats, count, j, d, form, start_pivots):
     P's pivots and is orthogonal to P, so P + <v> is totally isotropic, its
     non-start rows are v followed by P's and its canonical parent is P: each
     child comes from exactly one pair.  The two tests run on all of a
-    group's heads at once, on its column strings: B(v, r) is the sum of
-    v_g w_g, with w the form's row of r, so column g scaled by w_g and
-    summed gives B(., r) on the whole group.
+    group's heads at once, on its column strings: with w = form.pairing_row(r),
+    column g scaled by w_g and summed gives B(., r) on the whole group.
 
     The children of the start itself are its sums with the isotropic points
-    of perp(start) / start, from ``_start_children``.
-
-    ``form`` is the ``FormEvaluator`` on F_p^d, of the kind it names.  With
-    sigma the conjugation for a Hermitian form and the identity otherwise,
-    B(u, w) sums u_g a sigma(w_c) over the nonzero Gram terms (g, c, a)."""
+    of perp(start) / start, from ``_start_children``.  ``form`` is the
+    ``FormEvaluator`` on F_p^d."""
     if j == len(start_pivots):
         return _start_children(mats, j, d, form)
     field = form.field
@@ -121,10 +105,6 @@ def extend_level(mats, count, j, d, form, start_pivots):
         field.neg_table,
         field.scale_tables,
     )
-    sigma = _sigma(form)
-    by_column = [[] for _ in range(d)]  # per column c, the Gram terms (g, a)
-    for g, c, a in _terms(form.gram, d):
-        by_column[c].append((g, a))
 
     # members by position, per tail: one int per member, lead(head) * span
     # + the head's offset, so members sort by the lead of their head, and a
@@ -154,15 +134,8 @@ def extend_level(mats, count, j, d, form, start_pivots):
             below = bisect_left(leads, lead_r)  # the heads leading before r
             if not below:
                 continue
-            w = [0] * d  # the form's row of r: B(v, r) is the sum of v_g w_g
-            for c in range(d):
-                rc = mats[r + c]
-                if rc:
-                    s = sigma[rc]
-                    for g, a in by_column[c]:
-                        w[g] = addt[w[g] * p + mult[a * p + s]]
             pairing = None  # B(v, r) for every head v of the group
-            for g, wg in enumerate(w):
+            for g, wg in enumerate(form.pairing_row(mats[r : r + d])):
                 if wg:
                     term = columns[g].translate(scale[wg])
                     pairing = term if pairing is None else _add_strings(pairing, term, field)
@@ -192,37 +165,23 @@ def _start_children(start, j, d, form):
     isotropic j-space ``start``, as concatenated canonical RREF matrices:
     start + <v> for one v per isotropic point of perp(start) / start.
 
-    perp(S) is the kernel of M, the matrix with rows B(s_i, .), and is read
-    off one RREF: with M's columns reversed, the kernel vector of free
-    column r leads at d-1-r with a 1, holds -Mb[i][r] at d-1-pivot_i and is
-    zero on every other lead, so these vectors are the RREF of perp(S).  S
-    lies in perp(S), so S's pivots are leads of perp(S); the vectors leading
+    perp(S) is the kernel of M, the matrix with rows B(., s_i) (the form is
+    reflexive, so B(v, s) = 0 iff B(s, v) = 0), and is read off one RREF:
+    with M's columns reversed, the kernel vector of free column r leads at
+    d-1-r with a 1, holds -Mb[i][r] at d-1-pivot_i and is zero on every
+    other lead, so these vectors are the RREF of perp(S).  S lies in
+    perp(S), so S's pivots are leads of perp(S); the vectors leading
     elsewhere vanish on them and span the complement of S in perp(S) that
-    vanishes on S's pivot columns.  Entry c of row i of M is sigma(sum of
-    s_g a over the Gram terms in column c).  v is isotropic iff the same sum
-    over the self terms is 0: Q(v) over the ``quad`` terms of a quadratic
-    form (upper triangular), B(v, v) over the Gram terms of a Hermitian one,
-    and no terms for an alternating one."""
-    field, kind = form.field, form.kind
+    vanishes on S's pivot columns."""
+    field = form.field
     p, addt, mult, negt = field.order, field.add_table, field.mul_table, field.neg_table
-    sigma = _sigma(form)
-    gterms = _terms(form.gram, d)
-    # the self terms; quad is empty for an alternating form
-    sterms = gterms if kind == "hermitian" else _terms(form.quad, d)
     srows = [start[i * d : (i + 1) * d] for i in range(j)]
     spivots = [row.index(1) for row in srows]
 
     # constraint matrix, columns reversed: new vector v must satisfy
-    # B(s_i, v) = 0
-    M = bytearray()
-    for srow in srows:
-        acc = [0] * d
-        for g, c, a in gterms:
-            sg = srow[g]
-            if sg:
-                acc[c] = addt[acc[c] * p + mult[sg * p + a]]
-        M.extend(sigma[x] for x in reversed(acc))
-    Mb, pivots = rref(bytes(M), j, d, field)
+    # B(v, s_i) = 0
+    M = bytes(x for srow in srows for x in reversed(form.pairing_row(srow)))
+    Mb, pivots = rref(M, j, d, field)
 
     # the RREF rows of perp(S) that lead outside S's pivots, in ascending
     # lead order, so every combination of comp[idx] with later vectors
@@ -258,12 +217,7 @@ def _start_children(start, j, d, form):
                         if rc:
                             v[c] = addt[v[c] * p + mult[ci * p + rc]]
 
-            acc = 0
-            for g, c, a in sterms:
-                vg, vc = v[g], v[c]
-                if vg and vc:
-                    acc = addt[acc * p + mult[mult[vg * p + a] * p + sigma[vc]]]
-            if acc:
+            if not form.is_isotropic_vector(v):
                 continue
 
             # canonical insertion of v, which leads at `lead` with a 1 and

@@ -46,8 +46,17 @@ class FormEvaluator:
 
     ``gram`` is the bilinear (for quadratic: polar) Gram matrix; quadratic
     forms additionally carry their upper-triangular coefficient matrix
-    ``quad``.  Both are d x d row-major bytes of field codes, the layout the
-    kernels read; ValueError unless they define a nondegenerate ``kind`` form.
+    ``quad``.  Both are d x d row-major bytes of field codes; ValueError
+    unless they define a nondegenerate ``kind`` form.
+
+    One rule reads all three kinds.  With sigma the conjugation of a
+    Hermitian form and the identity otherwise, B(u, w) sums
+    u_g a sigma(w_c) over the nonzero Gram terms (g, c, a).  A vector v is
+    isotropic iff the same sum over the self terms is 0: Q(v) over the
+    ``quad`` terms of a quadratic form, B(v, v) over the Gram terms of a
+    Hermitian one, and no terms for an alternating one, on which every
+    vector is isotropic.  The kernels evaluate the form only through
+    ``pairing_row`` and ``is_isotropic_vector``.
     """
 
     def __init__(self, kind: str, field: FieldTable, d: int, gram, quad=b""):
@@ -64,6 +73,15 @@ class FormEvaluator:
         self.quad = bytes(quad)
         if max(self.gram + self.quad, default=0) >= field.order:
             raise ValueError("entry outside field code range")
+        hermitian = kind == "hermitian"
+        self._sigma = field.conj_table if hermitian else bytes(range(field.order))
+        self._columns = [[] for _ in range(d)]  # per column c, the Gram terms (g, a)
+        for i, a in enumerate(self.gram):
+            if a:
+                self._columns[i % d].append((i // d, a))
+        self._self_terms = [
+            (i // d, i % d, a) for i, a in enumerate(self.gram if hermitian else self.quad) if a
+        ]
         self._validate()
 
     def _validate(self):
@@ -88,45 +106,52 @@ class FormEvaluator:
             # on the radical, so only a radical line <v> with Q(v) != 0 passes.
             raise ValueError("degenerate quadratic form")
 
-    def bilinear(self, u, w) -> int:
-        """f(u, w); for quadratic kind this is the polar form of Q."""
-        d, f = self.dimension, self.field
-        if len(u) != d or len(w) != d:
+    def pairing_row(self, r) -> list[int]:
+        """The codes w with B(v, r) = sum of v_g w_g for every v."""
+        if len(r) != self.dimension:
             raise ValueError("vector dimension mismatch")
-        conj = self.kind == "hermitian"
+        field, sigma = self.field, self._sigma
+        p, addt, mult = field.order, field.add_table, field.mul_table
+        w = [0] * self.dimension
+        for rc, terms in zip(r, self._columns):
+            if rc:
+                s = sigma[rc]
+                for g, a in terms:
+                    w[g] = addt[w[g] * p + mult[a * p + s]]
+        return w
+
+    def bilinear(self, u, w) -> int:
+        """B(u, w); for quadratic kind this is the polar form of Q."""
+        if len(u) != self.dimension:
+            raise ValueError("vector dimension mismatch")
+        p, addt, mult = self.field.order, self.field.add_table, self.field.mul_table
         acc = 0
-        for c in range(d):
-            wc = f.conjugate(w[c]) if conj else w[c]
-            if wc:
-                gv = 0
-                for g in range(d):
-                    if u[g] and self.gram[g * d + c]:
-                        gv = f.add(gv, f.mul(u[g], self.gram[g * d + c]))
-                acc = f.add(acc, f.mul(gv, wc))
+        for ug, wg in zip(u, self.pairing_row(w)):
+            if ug and wg:
+                acc = addt[acc * p + mult[ug * p + wg]]
+        return acc
+
+    def _self_value(self, v) -> int:
+        """The sum of v_g a sigma(v_c) over the self terms (g, c, a)."""
+        if len(v) != self.dimension:
+            raise ValueError("vector dimension mismatch")
+        field, sigma = self.field, self._sigma
+        p, addt, mult = field.order, field.add_table, field.mul_table
+        acc = 0
+        for g, c, a in self._self_terms:
+            vg, vc = v[g], v[c]
+            if vg and vc:
+                acc = addt[acc * p + mult[mult[vg * p + a] * p + sigma[vc]]]
         return acc
 
     def quadratic(self, u) -> int:
         """Q(u), quadratic kind only."""
         if self.kind != "quadratic":
             raise ValueError(f"{self.kind} form has no quadratic value")
-        d, f = self.dimension, self.field
-        if len(u) != d:
-            raise ValueError("vector dimension mismatch")
-        acc = 0
-        for i in range(d):
-            if u[i]:
-                for c in range(i, d):
-                    q = self.quad[i * d + c]
-                    if q and u[c]:
-                        acc = f.add(acc, f.mul(q, f.mul(u[i], u[c])))
-        return acc
+        return self._self_value(u)
 
     def is_isotropic_vector(self, v) -> bool:
-        if self.kind == "alternating":
-            return True
-        if self.kind == "quadratic":
-            return self.quadratic(v) == 0
-        return self.bilinear(v, v) == 0
+        return self._self_value(v) == 0
 
     def __repr__(self):
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"

@@ -62,17 +62,55 @@ def naive_all_subspaces(field, d: int, k: int):
     return sorted(out)
 
 
+# The per-entry form evaluation that geometry.FormEvaluator's one rule over
+# its nonzero terms replaced, kept verbatim as the reference for B and Q.
+def reference_bilinear(form, u, w) -> int:
+    """f(u, w); for quadratic kind this is the polar form of Q."""
+    d, f = form.dimension, form.field
+    if len(u) != d or len(w) != d:
+        raise ValueError("vector dimension mismatch")
+    conj = form.kind == "hermitian"
+    acc = 0
+    for c in range(d):
+        wc = f.conjugate(w[c]) if conj else w[c]
+        if wc:
+            gv = 0
+            for g in range(d):
+                if u[g] and form.gram[g * d + c]:
+                    gv = f.add(gv, f.mul(u[g], form.gram[g * d + c]))
+            acc = f.add(acc, f.mul(gv, wc))
+    return acc
+
+
+def reference_quadratic(form, u) -> int:
+    """Q(u), quadratic kind only."""
+    if form.kind != "quadratic":
+        raise ValueError(f"{form.kind} form has no quadratic value")
+    d, f = form.dimension, form.field
+    if len(u) != d:
+        raise ValueError("vector dimension mismatch")
+    acc = 0
+    for i in range(d):
+        if u[i]:
+            for c in range(i, d):
+                q = form.quad[i * d + c]
+                if q and u[c]:
+                    acc = f.add(acc, f.mul(q, f.mul(u[i], u[c])))
+    return acc
+
+
 def naive_is_totally_isotropic(space, subspace: Subspace) -> bool:
-    """Isotropy verified on the full span, not just a basis."""
+    """Isotropy verified on the full span, not just a basis, with the
+    reference form evaluation."""
     form, field = space.form, space.field
     span = span_vectors(field, subspace)
     for u in span:
-        if form.kind == "quadratic" and form.quadratic(u) != 0:
+        if form.kind == "quadratic" and reference_quadratic(form, u) != 0:
             return False
-        if form.kind == "hermitian" and form.bilinear(u, u) != 0:
+        if form.kind == "hermitian" and reference_bilinear(form, u, u) != 0:
             return False
         for w in span:
-            if form.bilinear(u, w) != 0:
+            if reference_bilinear(form, u, w) != 0:
                 return False
     return True
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -13,7 +14,9 @@ from oracles import (
     naive_is_totally_isotropic,
     naive_isotropic_kspaces,
     reference_anisotropic_coeff,
+    reference_bilinear,
     reference_extend_level,
+    reference_quadratic,
     reference_quadric_is_nondegenerate,
     span_vectors,
 )
@@ -26,6 +29,7 @@ from polardesign.counting import (
 )
 from polardesign.fields import make_field
 from polardesign.geometry import (
+    FAMILY_NAMES,
     BudgetExceededError,
     FormEvaluator,
     Subspace,
@@ -43,6 +47,8 @@ from polardesign.geometry import (
     subspaces_within,
     tspace_positions,
 )
+
+ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
 # every family at its smallest interesting sizes; kept small enough for the
 # span-checking brute-force oracle
@@ -161,6 +167,8 @@ def test_form_dimension_mismatch():
         sp.form.bilinear((1, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
         sp.form.bilinear((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        sp.form.is_isotropic_vector((1, 0, 0))
 
 
 def test_quadratic_value_refused_on_bilinear_kinds():
@@ -235,7 +243,7 @@ def test_quadric_radical_rule_matches_enumeration(form):
     assert accepted == reference_quadric_is_nondegenerate(field, d, gram, quad)
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+@pytest.mark.parametrize("p", ALL_ORDERS)
 def test_anisotropic_coeff_root_test_matches_bruteforce(p):
     field = make_field(p)
     assert _least_anisotropic_coeff(field) == reference_anisotropic_coeff(field)
@@ -348,11 +356,13 @@ def dense_form(sp, rng):
         rows = [[rng.randrange(sp.p) for _ in range(d)] for _ in range(d)]
         if len(_pykernels.rref(bytes(x for row in rows for x in row), d, d, field)[1]) == d:
             break
-    gram = bytes(form.bilinear(u, w) for u in rows for w in rows)
+    gram = bytes(reference_bilinear(form, u, w) for u in rows for w in rows)
     if form.kind != "quadratic":
         return FormEvaluator(form.kind, field, d, gram)
     quad = bytes(
-        (form.quadratic(u) if i == c else form.bilinear(u, rows[c])) if i <= c else 0
+        (reference_quadratic(form, u) if i == c else reference_bilinear(form, u, rows[c]))
+        if i <= c
+        else 0
         for i, u in enumerate(rows)
         for c in range(d)
     )
@@ -387,6 +397,46 @@ def test_kernel_under_dense_forms(family, n, q):
             child = Subspace.from_bytes(data, j + 1, sp.d)
             assert rref_canonicalize(sp.field, child.rows, sp.d) == child
             assert is_totally_isotropic(form, child)
+
+
+# every family over every field order it exists at: a Hermitian field has
+# square order p = q^2
+FAMILY_ORDERS = [
+    (family, p)
+    for family in FAMILY_NAMES
+    for p in ALL_ORDERS
+    if not family.startswith("2A") or math.isqrt(p) ** 2 == p
+]
+
+
+@pytest.mark.parametrize("family,p", FAMILY_ORDERS)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.data())
+def test_form_rule_matches_the_reference_evaluation(family, p, data):
+    # the standard form, or the same form in a random basis, where it is
+    # dense and a Hermitian Gram matrix is not symmetric
+    q = math.isqrt(p) if family.startswith("2A") else p
+    sp = standard_polar_space(family, data.draw(st.integers(1, 3)), q)
+    form = sp.form
+    if data.draw(st.booleans()):
+        form = dense_form(sp, random.Random(data.draw(st.integers(0, 2**32))))
+    vector = st.tuples(*[st.integers(0, p - 1)] * sp.d)
+    u, w = data.draw(vector), data.draw(vector)
+    field = sp.field
+    want = reference_bilinear(form, u, w)
+    assert form.bilinear(u, w) == want
+    paired = 0
+    for ug, wg in zip(u, form.pairing_row(w)):
+        paired = field.add(paired, field.mul(ug, wg))
+    assert paired == want
+    if form.kind == "quadratic":
+        assert form.quadratic(u) == reference_quadratic(form, u)
+        isotropic = reference_quadratic(form, u) == 0
+    else:
+        with pytest.raises(ValueError, match="no quadratic value"):
+            form.quadratic(u)
+        isotropic = form.kind == "alternating" or reference_bilinear(form, u, u) == 0
+    assert form.is_isotropic_vector(u) is isotropic
 
 
 # all six families; q = 3 and the 2A fields of order 4 and 9 for odd and
