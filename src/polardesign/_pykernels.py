@@ -8,8 +8,9 @@ and add whole byte strings of codes with its 256-byte translate tables:
 ``extend_level`` one string per column of the first rows of a group of
 level members that agree on their other rows.  ``extend_level`` takes the
 ``FormEvaluator``, which carries the field, and reads the form only through
-its ``pairing_row`` and ``is_isotropic_vector``; it needs a complete level of
-canonical, totally isotropic subspaces.
+its ``pairing_row`` and ``is_isotropic_vector``; it needs the complete level
+of a walk, every totally isotropic space of one dimension that contains the
+walk's start, each by its word.
 """
 
 from __future__ import annotations
@@ -66,61 +67,44 @@ def _add_strings(x, y, field):
     return total.to_bytes(len(x), "little").translate(field.unspread_table)
 
 
-def extend_level(mats, count, j, d, form, start_pivots):
-    """One enumeration level: the isotropic (j+1)-spaces containing the
-    j-spaces in ``mats``, as concatenated canonical RREF matrices, each
-    produced exactly once.  ``mats`` must hold the complete level j: every
-    totally isotropic j-space that contains a fixed start subspace, whose
-    pivot columns are ``start_pivots`` (empty for a walk from the zero
-    space), each by its canonical RREF matrix.  At j = len(start_pivots)
-    that level is the start alone.
+def extend_level(mats, count, j, d, form, start):
+    """One level of a walk from the canonical, totally isotropic subspace
+    ``start`` (b"" for the zero space).  A subspace W containing S = start
+    is held by its word: the canonical RREF of the rows of W that vanish on
+    S's pivot columns, the rows of W's canonical matrix whose pivot is not
+    one of S's.  W is S plus the span of its word.  ``mats`` must hold the
+    complete level j: the words of every totally isotropic space that
+    contains S and has dimension dim S + j.  Returns the words of level
+    j + 1, concatenated, each produced exactly once; at j = 0 the level is
+    the empty word of S alone, and its children come from
+    ``_start_children``.
 
-    A member's non-start rows T' are its rows whose pivot is not a start
-    pivot; T' fixes the member, which is the start plus the span of T'.  The
-    first row of T' is the member's head, the others its tail.  A child T
-    with non-start rows t'_1 < t'_2 < .. is produced only by its canonical
-    parent P, the member with non-start rows t'_2, t'_3, .. (orderly
-    generation: R. C. Read, 1978; B. D. McKay, 1998), and it is P plus
-    v = t'_1, the head of the member Q with non-start rows t'_1, t'_3, ..,
-    which shares P's tail.  So the level is built by joining members that
-    share a tail, as Apriori joins itemsets (R. Agrawal and R. Srikant,
-    1994): P with head r takes the head v of every member of its group with
+    The first row of a word is its head, the others its tail.  A child
+    word t_1 < t_2 < .. is produced only by its canonical parent P, the word
+    t_2, t_3, .. (orderly generation: R. C. Read, 1978; B. D. McKay, 1998),
+    and it is P plus v = t_1, the head of the word Q = t_1, t_3, .., which
+    shares P's tail.  So the level is built by joining words that share a
+    tail, as Apriori joins itemsets (R. Agrawal and R. Srikant, 1994): P
+    with head r takes the head v of every word of its group with
     lead(v) < lead(r), v[lead(r)] = 0 and B(v, r) = 0.  Then v vanishes on
-    P's pivots and is orthogonal to P, so P + <v> is totally isotropic, its
-    non-start rows are v followed by P's and its canonical parent is P: each
-    child comes from exactly one pair.  The two tests run on all of a
-    group's heads at once, on its column strings: with w = form.pairing_row(r),
+    P's pivots and is orthogonal to P, so S + P + <v> is totally isotropic,
+    its word is v followed by P and its canonical parent is P: each child
+    comes from exactly one pair.  The two tests run on all of a group's
+    heads at once, on its column strings: with w = form.pairing_row(r),
     column g scaled by w_g and summed gives B(., r) on the whole group.
+    ``form`` is the ``FormEvaluator`` on F_p^d."""
+    if j == 0:
+        return _start_children(start, d, form)
+    field, scale = form.field, form.field.scale_tables
 
-    The children of the start itself are its sums with the isotropic points
-    of perp(start) / start, from ``_start_children``.  ``form`` is the
-    ``FormEvaluator`` on F_p^d."""
-    if j == len(start_pivots):
-        return _start_children(mats, j, d, form)
-    field = form.field
-    p, addt, mult, negt, scale = (
-        field.order,
-        field.add_table,
-        field.mul_table,
-        field.neg_table,
-        field.scale_tables,
-    )
-
-    # members by position, per tail: one int per member, lead(head) * span
-    # + the head's offset, so members sort by the lead of their head, and a
-    # member's offset is its head's rounded down to a multiple of j * d
-    start = set(start_pivots)
+    # words by position, per tail: one int per word, lead(head) * span +
+    # the word's offset, so words sort by the lead of their head
     msize = j * d
     span = count * msize
     groups = {}
     for base in range(0, span, msize):
-        if start:
-            rows = range(base, base + msize, d)
-            rows = [off for off in rows if mats.index(1, off) - off not in start]
-            head, tail = rows[0], b"".join([mats[off : off + d] for off in rows[1:]])
-        else:  # every row is a non-start row
-            head, tail = base, mats[base + d : base + msize]
-        groups.setdefault(tail, []).append((mats.index(1, head) - head) * span + head)
+        tail = mats[base + d : base + msize]
+        groups.setdefault(tail, []).append((mats.index(1, base) - base) * span + base)
 
     out = bytearray()
     for members in groups.values():
@@ -130,7 +114,6 @@ def extend_level(mats, count, j, d, form, start_pivots):
         columns = [heads[c::d] for c in range(d)]
         for member in members:
             lead_r, r = divmod(member, span)
-            base = r - r % msize
             below = bisect_left(leads, lead_r)  # the heads leading before r
             if not below:
                 continue
@@ -142,28 +125,20 @@ def extend_level(mats, count, j, d, form, start_pivots):
             # zero exactly where B(v, r) = 0 and v[lead(r)] = 0
             fails = int.from_bytes(pairing, "little") | int.from_bytes(columns[lead_r], "little")
             fails = fails.to_bytes(len(members), "little")
+            word = mats[r : r + msize]
             i = fails.find(0, 0, below)
             while i >= 0:
-                # canonical insertion of v, which leads at lead_v with a 1 and
-                # vanishes on P's pivots: the start rows leading before it
-                # lose their entry at lead_v, the rows after it are zero there
-                lead_v, v = divmod(members[i], span)
-                vrow = mats[v : v + d]
-                at = base + bisect_left(start_pivots, lead_v) * d
-                for row in range(base, at, d):
-                    nf = negt[mats[row + lead_v]]
-                    srow = mats[row : row + d]
-                    out.extend([addt[x * p + mult[y * p + nf]] for x, y in zip(srow, vrow)])
-                out += vrow
-                out += mats[at : base + msize]
+                v = members[i] % span
+                out += mats[v : v + d]
+                out += word
                 i = fails.find(0, i + 1, below)
     return bytes(out)
 
 
-def _start_children(start, j, d, form):
-    """The isotropic (j+1)-spaces containing the canonical, totally
-    isotropic j-space ``start``, as concatenated canonical RREF matrices:
-    start + <v> for one v per isotropic point of perp(start) / start.
+def _start_children(start, d, form):
+    """The words of level 1 of a walk from the canonical, totally isotropic
+    subspace ``start``: one v per isotropic point of perp(S) / S, the one
+    that vanishes on S's pivot columns, concatenated.
 
     perp(S) is the kernel of M, the matrix with rows B(., s_i) (the form is
     reflexive, so B(v, s) = 0 iff B(s, v) = 0), and is read off one RREF:
@@ -175,13 +150,13 @@ def _start_children(start, j, d, form):
     vanishes on S's pivot columns."""
     field = form.field
     p, addt, mult, negt = field.order, field.add_table, field.mul_table, field.neg_table
-    srows = [start[i * d : (i + 1) * d] for i in range(j)]
+    srows = [start[i : i + d] for i in range(0, len(start), d)]
     spivots = [row.index(1) for row in srows]
 
     # constraint matrix, columns reversed: new vector v must satisfy
     # B(v, s_i) = 0
     M = bytes(x for srow in srows for x in reversed(form.pairing_row(srow)))
-    Mb, pivots = rref(M, j, d, field)
+    Mb, pivots = rref(M, len(srows), d, field)
 
     # the RREF rows of perp(S) that lead outside S's pivots, in ascending
     # lead order, so every combination of comp[idx] with later vectors
@@ -195,39 +170,27 @@ def _start_children(start, j, d, form):
         w[lead] = 1
         for i, pc in enumerate(pivots):
             w[d - 1 - pc] = negt[Mb[i * d + r]]
-        comp.append((lead, w))
+        comp.append(w)
 
     # one candidate vector per projective point of perp(S)/S
     out = bytearray()
     nc = len(comp)
     for idx in range(nc):
-        lead, first = comp[idx]
-        at = bisect_left(spivots, lead)
         nfree = nc - 1 - idx
         for it in range(p**nfree):
-            v = first[:]
+            v = comp[idx][:]
             x = it
             for pos in range(nfree):
                 ci = x % p
                 x //= p
                 if ci:
-                    cr = comp[idx + 1 + pos][1]
+                    cr = comp[idx + 1 + pos]
                     for c in range(d):
                         rc = cr[c]
                         if rc:
                             v[c] = addt[v[c] * p + mult[ci * p + rc]]
-
-            if not form.is_isotropic_vector(v):
-                continue
-
-            # canonical insertion of v, which leads at `lead` with a 1 and
-            # vanishes on S's pivots: the rows leading before it lose their
-            # entry at `lead`, the rows after it are zero there
-            for row in srows[:at]:
-                nf = negt[row[lead]]
-                out.extend([addt[x * p + mult[y * p + nf]] for x, y in zip(row, v)])
-            out.extend(v)
-            out.extend(start[at * d :])
+            if form.is_isotropic_vector(v):
+                out.extend(v)
     return bytes(out)
 
 

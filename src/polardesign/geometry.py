@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 from operator import itemgetter
 from struct import Struct
 from typing import Iterator
@@ -217,11 +217,11 @@ def rref_canonicalize(field: FieldTable, rows, ambient: int | None = None) -> Su
     for r in rows:
         if len(r) != ambient:
             raise ValueError("ragged matrix")
-        if any(not (0 <= x < field.order) for x in r):
+        if min(r, default=0) < 0 or max(r, default=0) >= field.order:
             raise ValueError("entry outside field code range")
     if not rows:
         return Subspace(ambient, b"")
-    flat = bytes(x for row in rows for x in row)
+    flat = bytes(chain.from_iterable(rows))
     red, pivots = kernels.rref(flat, len(rows), ambient, field)
     if len(pivots) != len(rows):
         raise ValueError(f"rank-deficient matrix: rank {len(pivots)} < {len(rows)} rows")
@@ -320,21 +320,48 @@ def _extend_once(space, level, j):
     return _extend_level(space, level, j, b"")
 
 
-def _extend_level(space, level, j, start_pivots):
-    """The isotropic (j+1)-spaces containing a start subspace with pivot
-    columns ``start_pivots``, from ``level``, the complete level j of such
-    spaces: the kernel joins its members and produces each (j+1)-space
-    once, so sorting is all that is left."""
-    raw = kernels.extend_level(b"".join(level), len(level), j, space.d, space.form, start_pivots)
+def _extend_level(space, level, j, start):
+    """The words of level j + 1 of a walk from the canonical bytes
+    ``start``, from ``level``, the complete level j of its words: the kernel
+    joins them and produces each word once, so sorting is all that is left.
+    From the zero space a word is the subspace's canonical matrix."""
+    raw = kernels.extend_level(b"".join(level), len(level), j, space.d, space.form, start)
     sz = (j + 1) * space.d
     return sorted([raw[i * sz : (i + 1) * sz] for i in range(len(raw) // sz)])
+
+
+def _with_start(field, start, words, d):
+    """The canonical bytes of S + <word> for each word of a walk from S, the
+    canonical bytes ``start``, sorted.  A word's rows vanish on S's pivots
+    and on each other's, so the canonical matrix holds the word's rows and
+    each row s of S less s[lead u] u for every word row u: that clears s on
+    the word's pivots and keeps its own.  The rows go in order of their
+    pivots, which for rows leading with a 1 is descending byte order."""
+    p, addt, mult, negt = field.order, field.add_table, field.mul_table, field.neg_table
+    srows = [start[i : i + d] for i in range(0, len(start), d)]
+    out = []
+    for word in words:
+        rows = [word[i : i + d] for i in range(0, len(word), d)]
+        pivoted = [(row.index(1), row) for row in rows]
+        for s in srows:
+            for lead, u in pivoted:
+                if s[lead]:
+                    nf = negt[s[lead]]
+                    s = bytes([addt[x * p + mult[y * p + nf]] for x, y in zip(s, u)])
+            rows.append(s)
+        rows.sort(reverse=True)
+        out.append(b"".join(rows))
+    out.sort()
+    return out
 
 
 def _final_level(space, k, budget, start: Subspace | None = None):
     """Canonical bytes of every totally isotropic k-space (containing
     ``start`` if given).  The kernel builds each level from the complete
     level below it, the first from the base (the zero space or ``start``)
-    alone.  Every level the walk passes through, from the base to k, is held
+    alone; a walk from ``start`` holds its levels as words (see
+    ``kernels.extend_level``), and the start's rows go into the final level
+    only.  Every level the walk passes through, from the base to k, is held
     to the budget by its closed-form size before the cache is read, so the
     verdict does not depend on what is cached.  Full levels are memoized
     once they pass the produced-size check, and a full walk resumes from the
@@ -344,27 +371,28 @@ def _final_level(space, k, budget, start: Subspace | None = None):
         # name the level, not its predicted size, which str() refuses past 4300 digits
         if polar_count_through(space, base, j) > budget:
             raise BudgetExceededError(f"level {j} is predicted to exceed budget {budget}")
+    level, j0 = [b""], 0
     if start is None:
         cached = _LEVEL_CACHE.get((space, k))
         if cached is not None:
             return cached
         j0 = max((j for j in range(1, k) if (space, j) in _LEVEL_CACHE), default=0)
-        level = _LEVEL_CACHE[(space, j0)] if j0 else [b""]
-    else:
-        level, j0 = [start.data], base
-        start_pivots = bytes(next(c for c, x in enumerate(row) if x) for row in start.rows)
-    for j in range(j0, k):
+        if j0:
+            level = _LEVEL_CACHE[(space, j0)]
+    for j in range(j0, k - base):
         if start is None:
             level = _extend_once(space, level, j)
         else:
-            level = _extend_level(space, level, j, start_pivots)
+            level = _extend_level(space, level, j, start.data)
         if len(level) > budget:
             raise BudgetExceededError(
-                f"level {j + 1} holds {len(level)} subspaces, budget {budget}"
+                f"level {base + j + 1} holds {len(level)} subspaces, budget {budget}"
             )
         if start is None:
             _LEVEL_CACHE[(space, j + 1)] = level
-    return level
+    if start is None:
+        return level
+    return _with_start(space.field, start.data, level, space.d)
 
 
 def isotropic_kspaces(

@@ -33,9 +33,11 @@ from polardesign.geometry import (
     BudgetExceededError,
     FormEvaluator,
     Subspace,
+    _extend_level,
     _extend_once,
     _least_anisotropic_coeff,
     _rep_codes,
+    _with_start,
     clear_enumeration_cache,
     enumerate_extensions,
     intersection_dimension,
@@ -458,12 +460,12 @@ JOIN_INSTANCES = [
 ]
 
 
-def _kernel_levels(kernel, form, level, j, start_pivots):
+def _kernel_levels(kernel, form, level, j, start):
     """Every level of a walk from ``level`` (level j) up to the form's
     totally isotropic ones of top rank, each as a sorted list of bytes."""
     d, levels = form.dimension, []
     while level:
-        raw = kernel(b"".join(level), len(level), j, d, form, start_pivots)
+        raw = kernel(b"".join(level), len(level), j, d, form, start)
         j += 1
         level = sorted(raw[i : i + j * d] for i in range(0, len(raw), j * d))
         levels.append(level)
@@ -476,7 +478,9 @@ def _kernel_levels(kernel, form, level, j, start_pivots):
 def test_kernel_matches_the_per_parent_reference(family, n, q, data):
     # the join of each complete level against the per-parent kernel it
     # replaced, on every level of a walk from the zero space and of walks
-    # from random canonical starts, under the standard form or a dense one
+    # from random canonical starts, under the standard form or a dense one;
+    # a walk from a start yields words, which hold the reference's levels
+    # once the start's rows go in
     sp = standard_polar_space(family, n, q)
     dense = data.draw(st.booleans())
     form = dense_form(sp, random.Random(data.draw(st.integers(0, 99)))) if dense else sp.form
@@ -489,7 +493,33 @@ def test_kernel_matches_the_per_parent_reference(family, n, q, data):
         start = data.draw(st.sampled_from(levels[t - 1]))
         pivots = bytes(start.index(1, i * sp.d) - i * sp.d for i in range(t))
         want = _kernel_levels(reference_extend_level, form, [start], t, pivots)
-        assert _kernel_levels(_pykernels.extend_level, form, [start], t, pivots) == want
+        words = _kernel_levels(_pykernels.extend_level, form, [b""], 0, start)
+        assert [_with_start(sp.field, start, level, sp.d) for level in words] == want
+
+
+# all six families at q = 2 and n <= 3 but H(6, 4), 2A-even at n = 3, whose
+# walks from every start hold 2.3 million words
+INSERTION_INSTANCES = [
+    (family, n) for family in FAMILY_NAMES for n in (1, 2, 3) if (family, n) != ("2A-even", 3)
+]
+
+
+@pytest.mark.parametrize("family,n", INSERTION_INSTANCES)
+def test_start_insertion_matches_the_rref_of_the_stacked_rows(family, n):
+    # every isotropic start and every word level of its walk: the start's
+    # rows put into a word are the RREF of the start's rows on the word's
+    sp = standard_polar_space(family, n, 2)
+    for t in range(sp.n + 1):
+        for start in isotropic_kspaces(sp, t):
+            level, j = [b""], 0
+            while level:
+                full = _with_start(sp.field, start.data, level, sp.d)
+                assert full == sorted(
+                    rref_canonicalize(sp.field, start.rows + Subspace(sp.d, word).rows, sp.d).data
+                    for word in level
+                )
+                level = _extend_level(sp, level, j, start.data)
+                j += 1
 
 
 def test_extension_of_full_dimension_is_identity():
