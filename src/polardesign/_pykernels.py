@@ -2,20 +2,23 @@
 
 Matrices are row-major bytes of field codes.  ``rref`` takes the
 ``FieldTable`` and reads its flat lookup tables once at entry (add/mul of
-length p*p, neg/inv of length p).  ``products`` and ``extend_level`` scale
-and add whole byte strings of codes with its 256-byte translate tables:
-``products`` one string per row combination over a whole batch of bases,
-``extend_level`` one string per column of the first rows of a group of
-level members that agree on their other rows.  ``extend_level`` takes the
-``FormEvaluator``, which carries the field, and reads the form only through
-its ``pairing_row`` and ``is_isotropic_vector``; it needs the complete level
-of a walk, every totally isotropic space of one dimension that contains the
-walk's start, each by its word.
+length p*p, neg/inv of length p); ``nullspace`` reads a basis off one
+``rref``.  ``products`` and ``extend_level`` scale and add whole byte
+strings of codes with its 256-byte translate tables: ``products`` one string
+per row combination over a whole batch of bases, ``extend_level`` one string
+per column of the first rows of a group of level members that agree on their
+other rows, or at level 0 per slice of the points of perp(S) / S.
+``extend_level`` takes the ``FormEvaluator``, which carries the field, and
+reads the form only through its ``pairing_row`` and ``is_isotropic_vector``;
+it needs the complete level of a walk, every totally isotropic space of one
+dimension that contains the walk's start, each by its word.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+
+_SLICE_POINTS = 1 << 14  # the most points of perp(S) / S built in one string
 
 
 def rref(mat, rows, cols, field):
@@ -140,58 +143,56 @@ def _start_children(start, d, form):
     subspace ``start``: one v per isotropic point of perp(S) / S, the one
     that vanishes on S's pivot columns, concatenated.
 
-    perp(S) is the kernel of M, the matrix with rows B(., s_i) (the form is
-    reflexive, so B(v, s) = 0 iff B(s, v) = 0), and is read off one RREF:
-    with M's columns reversed, the kernel vector of free column r leads at
-    d-1-r with a 1, holds -Mb[i][r] at d-1-pivot_i and is zero on every
-    other lead, so these vectors are the RREF of perp(S).  S lies in
-    perp(S), so S's pivots are leads of perp(S); the vectors leading
-    elsewhere vanish on them and span the complement of S in perp(S) that
-    vanishes on S's pivot columns."""
+    perp(S) is the nullspace of the matrix with rows B(., s_i) (the form is
+    reflexive, so B(v, s) = 0 iff B(s, v) = 0).  S lies in perp(S), so S's
+    pivots are leads of its RREF basis; the basis vectors c_1, c_2, .. that
+    lead elsewhere vanish on them and span the complement of S in perp(S)
+    that vanishes on S's pivot columns.  Its points leading at c_i are c_i
+    plus the span of the c_j after it: the span of the first ``low`` of those
+    is one string, a slice of at most _SLICE_POINTS points, shifted by each
+    combination of the others."""
     field = form.field
-    p, addt, mult, negt = field.order, field.add_table, field.mul_table, field.neg_table
-    srows = [start[i : i + d] for i in range(0, len(start), d)]
-    spivots = [row.index(1) for row in srows]
-
-    # constraint matrix, columns reversed: new vector v must satisfy
-    # B(v, s_i) = 0
-    M = bytes(x for srow in srows for x in reversed(form.pairing_row(srow)))
-    Mb, pivots = rref(M, len(srows), d, field)
-
-    # the RREF rows of perp(S) that lead outside S's pivots, in ascending
-    # lead order, so every combination of comp[idx] with later vectors
-    # leads at comp[idx]'s lead with a 1
-    comp = []
-    for lead in range(d):
-        r = d - 1 - lead
-        if r in pivots or lead in spivots:
-            continue
-        w = [0] * d
-        w[lead] = 1
-        for i, pc in enumerate(pivots):
-            w[d - 1 - pc] = negt[Mb[i * d + r]]
-        comp.append(w)
-
-    # one candidate vector per projective point of perp(S)/S
+    spivots = {start.index(1, i) - i for i in range(0, len(start), d)}
+    pairing = b"".join(bytes(form.pairing_row(start[i : i + d])) for i in range(0, len(start), d))
+    comp = [v for v in nullspace(pairing, len(start) // d, d, field) if v.index(1) not in spivots]
+    low = max(n for n in range(_SLICE_POINTS.bit_length()) if field.order**n <= _SLICE_POINTS)
     out = bytearray()
-    nc = len(comp)
-    for idx in range(nc):
-        nfree = nc - 1 - idx
-        for it in range(p**nfree):
-            v = comp[idx][:]
-            x = it
-            for pos in range(nfree):
-                ci = x % p
-                x //= p
-                if ci:
-                    cr = comp[idx + 1 + pos]
-                    for c in range(d):
-                        rc = cr[c]
-                        if rc:
-                            v[c] = addt[v[c] * p + mult[ci * p + rc]]
-            if form.is_isotropic_vector(v):
-                out.extend(v)
+    for idx, lead in enumerate(comp):
+        block = _span_points(lead, comp[idx + 1 : idx + 1 + low], field)
+        offsets = _span_points(bytes(d), comp[idx + 1 + low :], field)
+        copies = len(block) // d
+        for at in range(0, len(offsets), d):
+            points = _add_strings(block, offsets[at : at + d] * copies, field) if at else block
+            points = [points[i : i + d] for i in range(0, len(points), d)]
+            out += b"".join(filter(form.is_isotropic_vector, points))
     return bytes(out)
+
+
+def _span_points(base, vectors, field):
+    """base + sum c_i vectors[i] for every c in one string, at index sum c_i p^i."""
+    p, scale = field.order, field.scale_tables
+    for u in vectors:
+        copies = len(base) // len(u)
+        base += b"".join(
+            [_add_strings(base, u.translate(scale[c]) * copies, field) for c in range(1, p)]
+        )
+    return base
+
+
+def nullspace(mat, rows, d, field):
+    """The RREF basis of {v : M v = 0}, M rows x d, as d-code strings by
+    ascending lead: with Mr the RREF of M's codes reversed, free column r
+    gives the vector with 1 at d-1-r and -Mr[i][r] at d-1-pivot_i."""
+    red, pivots = rref(mat[::-1], rows, d, field)  # reversed rows span the same
+    basis = []
+    for r in range(d - 1, -1, -1):
+        if r not in pivots:
+            v = bytearray(d)
+            v[d - 1 - r] = 1
+            for i, pc in enumerate(pivots):
+                v[d - 1 - pc] = field.neg_table[red[i * d + r]]
+            basis.append(bytes(v))
+    return basis
 
 
 def products(umats, count, kdim, d, codes, field):

@@ -24,10 +24,10 @@ from .geometry import (
     PolarSpace,
     Subspace,
     _final_level,
+    canonical_data,
     enumerate_extensions,
     intersection_dimension,
     is_totally_isotropic,
-    rref_canonicalize,
     subspace_contains,
     subspaces_within,
     tspace_positions,
@@ -200,7 +200,7 @@ def verify_local_decodability(
     if wspace is None:
         wspace = next(enumerate_extensions(space, tspace, k + t, budget))
     for name, sub, dim in (("V", tspace, t), ("W", wspace, k + t)):
-        if sub.k != dim or rref_canonicalize(space.field, sub.rows, space.d) != sub:
+        if sub.k != dim or canonical_data(space.field, sub.data, space.d) != sub.data:
             raise ValueError(f"{name} must be the canonical RREF matrix of a {dim}-space")
     if not subspace_contains(space.field, wspace, tspace):
         raise ValueError("V must be contained in W")

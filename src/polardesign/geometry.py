@@ -95,12 +95,11 @@ class FormEvaluator:
             bad = any(g[ic] != f.add(q[ic], q[ci]) or (ic > ci and q[ic]) for ic, ci in cells)
         if bad:
             raise ValueError(f"the matrices do not define a {self.kind} form")
-        red, pivots = kernels.rref(g, d, d, f)
-        rank = len(pivots)
+        radical = kernels.nullspace(g, d, d, f)
         if self.kind in ("alternating", "hermitian"):
-            if rank != d:
+            if radical:
                 raise ValueError("degenerate bilinear form")
-        elif rank < d and (rank < d - 1 or self.quadratic(_radical_vector(red, pivots, f)) == 0):
+        elif radical and (len(radical) > 1 or self.quadratic(radical[0]) == 0):
             # Q must vanish on no nonzero radical vector.  In odd characteristic
             # Q(v) = B(v, v)/2 = 0 there; in characteristic 2 Q is semilinear
             # on the radical, so only a radical line <v> with Q(v) != 0 passes.
@@ -157,17 +156,6 @@ class FormEvaluator:
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"
 
 
-def _radical_vector(red, pivots, field):
-    """The nullspace basis vector of a d x d RREF matrix with d - 1 pivots."""
-    d = len(pivots) + 1
-    free = next(c for c in range(d) if c not in pivots)
-    vec = [0] * d
-    vec[free] = 1
-    for r, c in enumerate(pivots):
-        vec[c] = field.neg(red[r * d + free])
-    return vec
-
-
 @dataclass(frozen=True, order=True)
 class Subspace:
     """A k-space as its unique k x d RREF matrix, held as the k*d row-major
@@ -214,18 +202,27 @@ def rref_canonicalize(field: FieldTable, rows, ambient: int | None = None) -> Su
         if not rows:
             raise ValueError("ambient dimension needed for the zero space")
         ambient = len(rows[0])
-    for r in rows:
-        if len(r) != ambient:
-            raise ValueError("ragged matrix")
-        if min(r, default=0) < 0 or max(r, default=0) >= field.order:
-            raise ValueError("entry outside field code range")
-    if not rows:
-        return Subspace(ambient, b"")
-    flat = bytes(chain.from_iterable(rows))
-    red, pivots = kernels.rref(flat, len(rows), ambient, field)
-    if len(pivots) != len(rows):
-        raise ValueError(f"rank-deficient matrix: rank {len(pivots)} < {len(rows)} rows")
+    if any(len(r) != ambient for r in rows):
+        raise ValueError("ragged matrix")
+    red = canonical_data(field, list(chain.from_iterable(rows)), ambient)
     return Subspace.from_bytes(red, len(rows), ambient)
+
+
+def canonical_data(field: FieldTable, codes, d: int) -> bytes:
+    """The canonical RREF of the row-major matrix ``codes`` with ``d``
+    columns, as bytes; rejects codes outside the field and rank-deficient
+    input (the rows must be a basis)."""
+    if len(codes) % d:
+        raise ValueError("ragged matrix")
+    if min(codes, default=0) < 0 or max(codes, default=0) >= field.order:
+        raise ValueError("entry outside field code range")
+    k = len(codes) // d
+    if not k:
+        return b""
+    red, pivots = kernels.rref(bytes(codes), k, d, field)
+    if len(pivots) != k:
+        raise ValueError(f"rank-deficient matrix: rank {len(pivots)} < {k} rows")
+    return red
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +323,7 @@ def _extend_level(space, level, j, start):
     joins them and produces each word once, so sorting is all that is left.
     From the zero space a word is the subspace's canonical matrix."""
     raw = kernels.extend_level(b"".join(level), len(level), j, space.d, space.form, start)
-    sz = (j + 1) * space.d
-    return sorted([raw[i * sz : (i + 1) * sz] for i in range(len(raw) // sz)])
+    return sorted(map(itemgetter(0), Struct(f"{(j + 1) * space.d}s").iter_unpack(raw)))
 
 
 def _with_start(field, start, words, d):
@@ -337,7 +333,7 @@ def _with_start(field, start, words, d):
     each row s of S less s[lead u] u for every word row u: that clears s on
     the word's pivots and keeps its own.  The rows go in order of their
     pivots, which for rows leading with a 1 is descending byte order."""
-    p, addt, mult, negt = field.order, field.add_table, field.mul_table, field.neg_table
+    scale, negt = field.scale_tables, field.neg_table
     srows = [start[i : i + d] for i in range(0, len(start), d)]
     out = []
     for word in words:
@@ -346,8 +342,7 @@ def _with_start(field, start, words, d):
         for s in srows:
             for lead, u in pivoted:
                 if s[lead]:
-                    nf = negt[s[lead]]
-                    s = bytes([addt[x * p + mult[y * p + nf]] for x, y in zip(s, u)])
+                    s = kernels._add_strings(s, u.translate(scale[negt[s[lead]]]), field)
             rows.append(s)
         rows.sort(reverse=True)
         out.append(b"".join(rows))
@@ -415,7 +410,7 @@ def enumerate_extensions(
     The base is checked, and the level enumerated, at call time."""
     if not subspace.k <= k <= space.n:
         raise ValueError(f"k must lie in {subspace.k}..{space.n}")
-    if rref_canonicalize(space.field, subspace.rows, space.d) != subspace:
+    if canonical_data(space.field, subspace.data, space.d) != subspace.data:
         raise ValueError("base subspace is not a canonical RREF matrix")
     if not is_totally_isotropic(space.form, subspace):
         raise ValueError("base subspace is not totally isotropic")

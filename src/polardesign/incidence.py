@@ -19,8 +19,8 @@ from .geometry import (
     PolarSpace,
     Subspace,
     _final_level,
+    canonical_data,
     is_totally_isotropic,
-    rref_canonicalize,
     standard_polar_space,
     tspace_positions,
 )
@@ -108,12 +108,12 @@ def verify_design(
             usable = False
             continue
         try:
-            canonical = rref_canonicalize(space.field, b.rows, space.d)
+            canonical = canonical_data(space.field, b.data, space.d)
         except ValueError as exc:
             errors.append((i, f"not a basis: {exc}"))
             usable = False
             continue
-        if canonical != b:
+        if canonical != b.data:
             errors.append((i, "rows are not in canonical reduced echelon form"))
             usable = False
             continue
@@ -192,7 +192,8 @@ def _is_vector(row, space: PolarSpace) -> bool:
 def design_from_payload(payload) -> DesignInstance:
     """The design a parsed certificate claims.  Malformed input raises
     ValueError: a payload that is not an object, a missing key, a value of
-    the wrong type, or a block row that is not d field codes below p.
+    the wrong type, a lambda below 1, or a block row that is not d field
+    codes below p.
     Whether the blocks form the claimed design is for ``verify_design``."""
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
@@ -204,6 +205,8 @@ def design_from_payload(payload) -> DesignInstance:
     if not isinstance(family, str):
         raise ValueError("certificate 'family' must be a string")
     q, n, t, k, lam = (_certificate_int(payload, key) for key in ("q", "n", "t", "k", "lambda"))
+    if lam < 1:
+        raise ValueError("lambda must be positive")
     provenance = payload.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ValueError("certificate 'provenance' must be an object")

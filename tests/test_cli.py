@@ -417,6 +417,18 @@ def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("lam", [0, -1])
+def test_certificate_lambda_below_one_is_a_usage_error(tmp_path, capsys, lam):
+    # as search refuses it; neither a "violation" (exit 1) nor, with no
+    # blocks at lambda 0, a "verified" design (exit 0)
+    cert = tmp_path / "lam.json"
+    cert.write_text(json.dumps({**_CERT, "lambda": lam, "blocks": []}))
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        design_from_json(cert.read_text())
+    code, out, err = run_cli(capsys, "verify-design", str(cert))
+    assert (code, out) == (2, "") and err == "error: lambda must be positive\n"
+
+
 def test_field_orders_beyond_the_cap_are_rejected_before_factoring(tmp_path, capsys, monkeypatch):
     # a field order above the cap is refused without being factored: the cap
     # check must come first, in the library and in both CLI paths that build a field

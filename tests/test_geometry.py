@@ -498,17 +498,22 @@ def test_kernel_matches_the_per_parent_reference(family, n, q, data):
 
 
 # all six families at q = 2 and n <= 3 but H(6, 4), 2A-even at n = 3, whose
-# walks from every start hold 2.3 million words
+# walks from every start hold 2.3 million words; and at q = 3 and n <= 2,
+# for odd characteristic and, on the Hermitian families, F_9
 INSERTION_INSTANCES = [
-    (family, n) for family in FAMILY_NAMES for n in (1, 2, 3) if (family, n) != ("2A-even", 3)
-]
+    (family, n, 2) for family in FAMILY_NAMES for n in (1, 2, 3) if (family, n) != ("2A-even", 3)
+] + [(family, n, 3) for family in FAMILY_NAMES for n in (1, 2)]
 
 
-@pytest.mark.parametrize("family,n", INSERTION_INSTANCES)
-def test_start_insertion_matches_the_rref_of_the_stacked_rows(family, n):
+@pytest.mark.parametrize(
+    "family,n,q",
+    INSERTION_INSTANCES,
+    ids=[f"{family}-{n}" + ("-q3" if q == 3 else "") for family, n, q in INSERTION_INSTANCES],
+)
+def test_start_insertion_matches_the_rref_of_the_stacked_rows(family, n, q):
     # every isotropic start and every word level of its walk: the start's
     # rows put into a word are the RREF of the start's rows on the word's
-    sp = standard_polar_space(family, n, 2)
+    sp = standard_polar_space(family, n, q)
     for t in range(sp.n + 1):
         for start in isotropic_kspaces(sp, t):
             level, j = [b""], 0
@@ -520,6 +525,19 @@ def test_start_insertion_matches_the_rref_of_the_stacked_rows(family, n):
                 )
                 level = _extend_level(sp, level, j, start.data)
                 j += 1
+
+
+@pytest.mark.parametrize("slice_points", [1, 4])
+def test_start_children_do_not_depend_on_the_slice_size(monkeypatch, slice_points):
+    # perp(S) / S built one point at a time, or a few points per string,
+    # against the default slice, which holds each of these spans whole
+    for family, n, q in [("C", 3, 2), ("B", 2, 3), ("2A-odd", 2, 2), ("2D", 2, 3)]:
+        sp = standard_polar_space(family, n, q)
+        starts = [b""] + [s.data for k in (1, 2) for s in isotropic_kspaces(sp, k)[::7]]
+        want = [_pykernels._start_children(s, sp.d, sp.form) for s in starts]
+        with monkeypatch.context() as patch:
+            patch.setattr(_pykernels, "_SLICE_POINTS", slice_points)
+            assert [_pykernels._start_children(s, sp.d, sp.form) for s in starts] == want
 
 
 def test_extension_of_full_dimension_is_identity():

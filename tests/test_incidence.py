@@ -199,6 +199,8 @@ def test_verify_reports_ill_formed_blocks_with_index():
     sp = standard_polar_space("D", 2, 2)
     anisotropic = Subspace.from_rows(4, ((1, 0, 0, 0), (0, 1, 0, 0)))
     non_canonical = Subspace.from_rows(4, ((1, 1, 0, 0), (0, 1, 0, 0)))
+    # two rows and a stray code: the block's data is no 2 x 4 matrix
+    ragged = Subspace(4, bytes((1, 0, 0, 0, 0, 0, 1, 0, 1)))
     instance = DesignInstance(
         family="D",
         q=2,
@@ -206,13 +208,14 @@ def test_verify_reports_ill_formed_blocks_with_index():
         t=1,
         k=2,
         lam=1,
-        blocks=(anisotropic, non_canonical),
+        blocks=(anisotropic, non_canonical, ragged),
         provenance={},
     )
     report = verify_design(instance)
     assert not report.ok
     indices = {i for i, _ in report.block_errors}
-    assert indices == {0, 1}
+    assert indices == {0, 1, 2}
+    assert (2, "not a basis: ragged matrix") in report.block_errors
 
 
 def test_verify_wrong_lambda_claim():

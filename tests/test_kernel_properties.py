@@ -3,16 +3,25 @@ matrices with at most 7 columns.  The expected values are built from
 ``FieldTable.add/mul`` alone, never from the kernels: a full-rank matrix is
 drawn as an invertible mix of an RREF matrix, so its RREF is known in
 advance.  The t-space incidence built on the products kernel is checked
-against its per-outer reference in tests/oracles.py."""
+against its per-outer reference in tests/oracles.py, and the nullspace
+kernel against the nullspace that ``reference_kernel_vectors`` enumerates
+there."""
 
+from itertools import islice
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_products, reference_tspace_positions, reference_tsubspace_bytes
+from oracles import (
+    reference_kernel_vectors,
+    reference_products,
+    reference_tspace_positions,
+    reference_tsubspace_bytes,
+    span_vectors,
+)
 
-from polardesign._pykernels import products, rref
+from polardesign._pykernels import nullspace, products, rref
 from polardesign.counting import gaussian_binomial, polar_count
 from polardesign.fields import make_field
 from polardesign.geometry import (
@@ -28,6 +37,8 @@ ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 # the most t-subspaces per outer, and isotropic subspaces per level up to t,
 # that the incidence tests enumerate
 INCIDENCE_CAP = 1200
+# the most nullspace vectors the nullspace test lists
+KERNEL_CAP = 1024
 
 
 @st.composite
@@ -159,6 +170,41 @@ def test_products_match_the_per_matrix_reference(p, data):
                 b"".join(map(flat, reps)), len(reps), t, k, flat(basis), d, field
             )
             assert b"".join(per_basis) == want
+
+
+@pytest.mark.parametrize("p", ALL_ORDERS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_nullspace_is_the_rref_basis_of_the_reference_kernel(p, data):
+    # up to 6 rows and columns; a row is random, zero or a combination of
+    # the rows above it, so rank-deficient matrices come often
+    field = make_field(p)
+    d = data.draw(st.integers(1, 6))
+    entry = st.integers(0, p - 1)
+    mat = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "random":
+            mat.append(data.draw(st.lists(entry, min_size=d, max_size=d)))
+        elif kind == "combination" and mat:
+            mat.append(matmul(field, [[data.draw(entry) for _ in mat]], mat)[0])
+        else:
+            mat.append([0] * d)
+    m, rows = flat(mat), len(mat)
+    basis = nullspace(m, rows, d, field)
+    assert len(basis) == d - len(rref(m, rows, d, field)[1])
+    assert all(type(v) is bytes and len(v) == d for v in basis)
+    leads = [next(c for c, x in enumerate(v) if x) for v in basis]
+    assert leads == sorted(set(leads)) and all(v[lead] == 1 for v, lead in zip(basis, leads))
+    assert all(v[c] == 0 for v, lead in zip(basis, leads) for c in leads if c != lead)
+    want = reference_kernel_vectors(m, rows, d, field)
+    if p ** len(basis) <= KERNEL_CAP:
+        assert span_vectors(field, Subspace(d, b"".join(basis))) == set(want)
+    else:  # too many to list: the basis lies in the kernel, and spans a sample of it
+        assert all(matmul(field, mat, [[x] for x in v]) == [[0]] * rows for v in basis)
+        for v in islice(want, KERNEL_CAP):
+            combination = matmul(field, [[v[lead] for lead in leads]], [list(u) for u in basis])
+            assert combination == [list(v)]
 
 
 def spaces_over(p):
