@@ -5,6 +5,11 @@ p = ell^r the code is the base-ell digit encoding of a polynomial in the basis
 1, x, .., x^(r-1) modulo the lexicographically least monic irreducible
 polynomial of degree r over F_ell.  0 and 1 always encode the additive and
 multiplicative identities, so all tables are reproducible.
+
+``field_order_split`` refuses an order that names no field at desk scale
+without building anything; ``make_field`` builds and checks the tables, so a
+caller that only needs the order valid (the closed-form counts, say) calls
+the first and leaves the tables to first use.
 """
 
 from __future__ import annotations
@@ -220,15 +225,23 @@ class FieldTable:
         return f"FieldTable(order={self.order})"
 
 
-@lru_cache(maxsize=None)
-def make_field(p: int) -> FieldTable:
-    """Build (and memoize) the arithmetic table for F_p, 2 <= p <= 32."""
-    if p > FIELD_ORDER_CAP:  # before the trial division, which is sqrt(p) steps
+def field_order_split(p: int) -> tuple[int, int]:
+    """(characteristic, degree) of F_p; ValueError unless p is a prime power
+    at most ``FIELD_ORDER_CAP``.  Builds no table."""
+    if p > FIELD_ORDER_CAP:  # before factoring, whose cost grows with p
         raise ValueError(f"field order {p} exceeds the desk-scale cap {FIELD_ORDER_CAP}")
     split = prime_power_split(p)
     if split is None:
         raise ValueError(f"{p} is not a prime power")
-    ell, r = split
+    return split
+
+
+@lru_cache(maxsize=None)
+def make_field(p: int) -> FieldTable:
+    """Build (and memoize) the arithmetic table for F_p, 2 <= p <= 32, and
+    check it: the field axioms and the spread tables, both exhaustively.
+    Refuses a bad order as ``field_order_split`` does."""
+    ell, r = field_order_split(p)
     if r == 1:
         add = bytes((a + b) % p for a in range(p) for b in range(p))
         mul = bytes((a * b) % p for a in range(p) for b in range(p))
@@ -252,10 +265,23 @@ def make_field(p: int) -> FieldTable:
 def verify_field_axioms(field: FieldTable) -> None:
     """Exhaustive check of the field axioms on the add and mul tables, read as
     rows add[a][b] = a + b; raises AssertionError naming the first axiom that
-    fails and the elements it fails at."""
+    fails and the elements it fails at.  First means first in a scan over
+    each element, then each pair (a, b), then each triple (a, b, c), that
+    tests every axiom at one place before it moves on.
+
+    Every pair and triple is checked, in O(p^2) Python steps: commutativity
+    compares each table with its transpose, and for each a the p*p-byte
+    blocks over (b, c) of (a+b)+c and a+(b+c), (ab)c and a(bc), a(b+c) and
+    ab+ac are built by joining table rows and by ``bytes.translate`` through
+    256-byte rows, then compared whole; a mismatch is placed at the first
+    byte that differs.  Tables that are not p*p codes below p are refused
+    before any axiom is checked."""
     p, els = field.order, range(field.order)
-    add = [field.add_table[a * p : a * p + p] for a in els]
-    mul = [field.mul_table[a * p : a * p + p] for a in els]
+    addt, mult = field.add_table, field.mul_table
+    if len(addt) != p * p or len(mult) != p * p or max(addt + mult, default=0) >= p:
+        raise AssertionError(f"F_{p}: the tables are not {p} x {p} codes below {p}")
+    add = [addt[a * p : a * p + p] for a in els]
+    mul = [mult[a * p : a * p + p] for a in els]
 
     def holds(ok, axiom, *at):
         if not ok:
@@ -266,13 +292,51 @@ def verify_field_axioms(field: FieldTable) -> None:
         holds(add[a][field.neg(a)] == 0, "additive inverse", a)
         if a:
             holds(mul[a][field.inv(a)] == 1, "multiplicative inverse", a)
-    for a, b in product(els, repeat=2):
-        holds(add[a][b] == add[b][a], "additive commutativity", a, b)
-        holds(mul[a][b] == mul[b][a], "multiplicative commutativity", a, b)
-    for a, b, c in product(els, repeat=3):
-        holds(add[add[a][b]][c] == add[a][add[b][c]], "additive associativity", a, b, c)
-        holds(mul[mul[a][b]][c] == mul[a][mul[b][c]], "multiplicative associativity", a, b, c)
-        holds(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], "distributivity", a, b, c)
+
+    def first_failure(at, *compares):
+        # compares are (axiom, left, right) over the places b * p + c; the
+        # first differing place fails, the earlier axiom on a tie
+        failure = None
+        for axiom, left, right in compares:
+            if left != right:
+                i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+                if failure is None or i < failure[0]:
+                    failure = i, axiom
+        if failure is not None:
+            i, axiom = failure
+            raise AssertionError(f"F_{p}: {axiom} fails at {at + divmod(i, p)}")
+
+    def transpose(table):
+        return b"".join(table[c::p] for c in els)
+
+    first_failure(
+        (),
+        ("additive commutativity", addt, transpose(addt)),
+        ("multiplicative commutativity", mult, transpose(mult)),
+    )
+    pad = bytes(256 - p)
+    add_rows = [row + pad for row in add]  # translate tables x -> a + x
+    mul_rows = [row + pad for row in mul]  # and x -> a * x
+    for a in els:
+        plus_a, times_a = add[a], mul[a]
+        first_failure(
+            (a,),
+            (
+                "additive associativity",
+                b"".join(map(add.__getitem__, plus_a)),  # (a + b) + c
+                addt.translate(add_rows[a]),  # a + (b + c)
+            ),
+            (
+                "multiplicative associativity",
+                b"".join(map(mul.__getitem__, times_a)),  # (ab)c
+                mult.translate(mul_rows[a]),  # a(bc)
+            ),
+            (
+                "distributivity",
+                addt.translate(mul_rows[a]),  # a(b + c)
+                b"".join(times_a.translate(add_rows[x]) for x in times_a),  # ab + ac
+            ),
+        )
 
 
 def verify_spread_tables(field: FieldTable) -> None:

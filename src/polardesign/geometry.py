@@ -21,7 +21,7 @@ from typing import Iterator
 
 from . import _pykernels as kernels
 from .counting import polar_count_through
-from .fields import FieldTable, make_field
+from .fields import FieldTable, field_order_split, make_field
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -227,8 +227,8 @@ def canonical_data(field: FieldTable, codes, d: int) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class PolarSpace:
-    """Descriptor of one of the six families; its standard form is built on
-    first use, so the closed-form counts never build one."""
+    """Descriptor of one of the six families; its form and field tables are
+    built on first use, so the closed-form counts never build either."""
 
     family: str
     n: int
@@ -236,10 +236,13 @@ class PolarSpace:
     p: int
     d: int
     twice_e: int
-    field: FieldTable
 
     def __repr__(self):
         return f"PolarSpace({self.family}, n={self.n}, q={self.q})"
+
+    @cached_property
+    def field(self) -> FieldTable:
+        return make_field(self.p)
 
     @cached_property
     def form(self) -> FormEvaluator:
@@ -284,9 +287,9 @@ def standard_polar_space(family: str, n: int, q: int) -> PolarSpace:
     if q < 2:  # before squaring, so a negative Hermitian q is refused too
         raise ValueError(f"base order q must be a prime power at least 2, not {q}")
     p = q * q if family in ("2A-odd", "2A-even") else q
-    field = make_field(p)  # enforces the prime-power and desk-scale caps
+    field_order_split(p)  # enforces the prime-power and desk-scale caps
     extra, twice_e = _FAMILY_SHAPES[family]
-    return PolarSpace(family, n, q, p, 2 * n + extra, twice_e, field)
+    return PolarSpace(family, n, q, p, 2 * n + extra, twice_e)
 
 
 def is_totally_isotropic(form: FormEvaluator, subspace: Subspace) -> bool:

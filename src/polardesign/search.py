@@ -171,16 +171,18 @@ def _multicover(n_constraints, options, lam, node_budget):
     Branches on the least-index unsatisfied constraint and tries its live
     options in increasing position.  Live options are one int bitmask, as in
     ``_exact_cover``; ``need`` holds each constraint's remaining hits.  A pick
-    kills itself, the candidates of its constraint at lower positions, and
-    every live option through a constraint whose need reaches 0, so
-    consecutive picks for one constraint go in increasing position, each
-    lam-subset is tried once and no option is chosen twice.  Complete and
-    deterministic.  Depth-first with an explicit stack, one frame per chosen
-    option; backtracking restores the frame's live and the needs."""
+    kills itself and every live option through a constraint whose need
+    reaches 0.  The frame keeps live with the pick killed, and the next
+    sibling starts from it, so the candidates of a constraint at lower
+    positions are already dead: consecutive picks for one constraint go in
+    increasing position, each lam-subset is tried once and no option is
+    chosen twice.  Complete and deterministic.  Depth-first with an explicit
+    stack, one frame per chosen option; backtracking restores the frame's
+    live and the needs."""
     colmask = _column_masks(n_constraints, options)
     need = [lam] * n_constraints
     live = (1 << len(options)) - 1
-    stack = []  # per level: (constraint, candidates left, live before the pick, pick)
+    stack = []  # per level: (constraint, candidates left, live less the pick, pick)
     nodes = active = 0
     while True:
         nodes += 1
@@ -200,8 +202,8 @@ def _multicover(n_constraints, options, lam, node_budget):
                 need[c] += 1
         low = candidates & -candidates
         pos = low.bit_length() - 1
+        live ^= low
         stack.append((active, candidates ^ low, live, pos))
-        live &= ~(colmask[active] & ((low << 1) - 1))
         for c in options[pos]:
             need[c] -= 1
             if not need[c]:

@@ -364,6 +364,34 @@ def reference_anisotropic_coeff(field) -> int:
     raise AssertionError(f"no anisotropic binary form over F_{p}")
 
 
+# The per-triple scan that fields.verify_field_axioms replaced, kept verbatim
+# as a differential oracle for its verdicts and AssertionError texts.
+def reference_field_axioms(field: FieldTable) -> None:
+    """Exhaustive check of the field axioms on the add and mul tables, read as
+    rows add[a][b] = a + b; raises AssertionError naming the first axiom that
+    fails and the elements it fails at."""
+    p, els = field.order, range(field.order)
+    add = [field.add_table[a * p : a * p + p] for a in els]
+    mul = [field.mul_table[a * p : a * p + p] for a in els]
+
+    def holds(ok, axiom, *at):
+        if not ok:
+            raise AssertionError(f"F_{p}: {axiom} fails at {at}")
+
+    for a in els:
+        holds(add[a][0] == a and mul[a][1] == a and mul[a][0] == 0, "identities", a)
+        holds(add[a][field.neg(a)] == 0, "additive inverse", a)
+        if a:
+            holds(mul[a][field.inv(a)] == 1, "multiplicative inverse", a)
+    for a, b in product(els, repeat=2):
+        holds(add[a][b] == add[b][a], "additive commutativity", a, b)
+        holds(mul[a][b] == mul[b][a], "multiplicative commutativity", a, b)
+    for a, b, c in product(els, repeat=3):
+        holds(add[add[a][b]][c] == add[a][add[b][c]], "additive associativity", a, b, c)
+        holds(mul[mul[a][b]][c] == mul[a][mul[b][c]], "multiplicative associativity", a, b, c)
+        holds(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], "distributivity", a, b, c)
+
+
 # The dancing-links-order exact cover that search._exact_cover replaced
 # (linked list of constraint headers, per-constraint live-option sizes,
 # precomputed option conflicts), kept verbatim as a differential oracle for

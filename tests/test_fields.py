@@ -1,19 +1,28 @@
 import copy
+import hashlib
 import os
+import random
+import re
 import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
 
 import pytest
+from oracles import reference_field_axioms
 
+from polardesign import fields, geometry
 from polardesign.fields import (
     FIELD_ORDER_CAP,
+    FieldTable,
     make_field,
     prime_power_split,
     verify_field_axioms,
     verify_spread_tables,
 )
+from polardesign.geometry import standard_polar_space
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -88,12 +97,194 @@ def test_axiom_check_rejects_a_ring_under_python_O():
         "mul = bytes(a * b % 4 for a in range(4) for b in range(4))\n"
         "verify_field_axioms(FieldTable(4, 2, 2, None, add, mul))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env = {**os.environ, "PYTHONPATH": SRC}
     run = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode != 0
     assert "AssertionError: F_4: multiplicative inverse fails at (2,)" in run.stderr
+
+
+def _verdict(check, field):
+    try:
+        check(field)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _corrupted(field, *changes):
+    """``field`` rebuilt through FieldTable with each change (which, i,
+    value) setting entry i of its add or mul table to ``value``, so its neg,
+    inv and conj tables follow."""
+    tables = {"add": bytearray(field.add_table), "mul": bytearray(field.mul_table)}
+    for which, i, value in changes:
+        tables[which][i] = value
+    return FieldTable(
+        field.order, field.characteristic, field.degree, field.modulus,
+        bytes(tables["add"]), bytes(tables["mul"]),
+    )
+
+
+def _single_entry_corruptions(p):
+    field = make_field(p)
+    for which in ("add", "mul"):
+        table = getattr(field, f"{which}_table")
+        for i in range(p * p):
+            for value in range(p):
+                if value != table[i]:
+                    yield which, i, value
+
+
+def _axioms_named(verdicts):
+    return {re.sub(r"^F_\d+: (.*) fails at .*$", r"\1", v) for v in verdicts if v}
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_axiom_check_agrees_with_the_reference_on_every_single_entry_corruption(p):
+    field = make_field(p)
+    assert _verdict(verify_field_axioms, field) is None is _verdict(reference_field_axioms, field)
+    verdicts = []
+    for which, i, value in _single_entry_corruptions(p):
+        bad = _corrupted(field, (which, i, value))
+        verdict = _verdict(verify_field_axioms, bad)
+        assert verdict == _verdict(reference_field_axioms, bad), (which, i, value)
+        verdicts.append(verdict)
+    assert all(verdicts)  # no single-entry change leaves a field
+    # the corruptions reach the pair and triple checks, not only the first loop
+    assert {
+        "additive commutativity",
+        "multiplicative commutativity",
+        "multiplicative associativity",
+        "distributivity",
+    } <= _axioms_named(verdicts)
+
+
+@pytest.mark.parametrize("p", [9, 25])
+def test_axiom_check_agrees_with_the_reference_on_sampled_corruptions(p):
+    field = make_field(p)
+    everything = list(_single_entry_corruptions(p))
+    sample = random.Random(p).sample(everything, 300)
+    # the diagonal corruptions pass both commutativity checks, so the
+    # associativity blocks decide many of them
+    sample += [(w, i, v) for w, i, v in everything if i % (p + 1) == 0][::p]
+    changes = [[change] for change in sample]
+    # both tables changed at one entry, so two axioms can first fail at one
+    # place, where the scan names the one it tests first
+    add, mul = field.add_table, field.mul_table
+    changes += [[("add", i, (add[i] + 1) % p), ("mul", i, (mul[i] + 1) % p)] for _, i, _ in sample]
+    verdicts = []
+    for change in changes:
+        bad = _corrupted(field, *change)
+        verdict = _verdict(verify_field_axioms, bad)
+        assert verdict == _verdict(reference_field_axioms, bad), change
+        verdicts.append(verdict)
+    assert all(verdicts)
+    assert {"additive associativity", "multiplicative associativity"} <= _axioms_named(verdicts)
+
+
+def test_axiom_check_refuses_codes_outside_the_field():
+    add = bytearray(make_field(5).add_table)
+    add[7] = 5
+    bad = FieldTable(5, 5, 1, None, bytes(add), make_field(5).mul_table)
+    with pytest.raises(AssertionError, match=r"^F_5: the tables are not 5 x 5 codes below 5$"):
+        verify_field_axioms(bad)
+
+
+# sha256 of every table of the 18 fields, taken when make_field still built
+# them with the per-triple axiom scan
+FIELD_TABLES_DIGEST = "cf31856c8ee70d6c00c749f86ad21fe8e563b15ae6bfdc5809032a98ff35368b"
+
+
+def test_field_tables_are_pinned():
+    digest = hashlib.sha256()
+    for p in ALL_ORDERS:
+        field = make_field(p)
+        for name, data in (
+            ("add", field.add_table),
+            ("mul", field.mul_table),
+            ("neg", field.neg_table),
+            ("inv", field.inv_table),
+            ("conj", field.conj_table or b""),
+            ("scale", b"".join(field.scale_tables)),
+            ("spread", field.spread_table),
+            ("unspread", field.unspread_table),
+        ):
+            digest.update(f"{p} {name} {len(data)}\n".encode())
+            digest.update(data)
+    assert digest.hexdigest() == FIELD_TABLES_DIGEST
+
+
+def test_polar_space_builds_its_field_on_first_read():
+    space = standard_polar_space.__wrapped__("C", 2, 32)
+    assert "field" not in vars(space)
+    assert space.field is make_field(32)
+    assert vars(space)["field"] is space.field
+
+
+@pytest.mark.parametrize(
+    "family, q, message",
+    [
+        ("C", 33, "field order 33 exceeds the desk-scale cap 32"),
+        ("2A-odd", 7, "field order 49 exceeds the desk-scale cap 32"),
+        ("B", 6, "6 is not a prime power"),
+        ("2A-even", 6, "field order 36 exceeds the desk-scale cap 32"),
+        ("2A-odd", -2, "base order q must be a prime power at least 2, not -2"),
+    ],
+)
+def test_polar_space_refuses_bad_orders_without_tables(monkeypatch, family, q, message):
+    def refuse(p):
+        raise RuntimeError(f"built the table of F_{p}")
+
+    if "cap" in message:  # the cap is checked before factoring
+
+        def no_split(p):
+            raise RuntimeError(f"factored {p}")
+
+        monkeypatch.setattr(fields, "prime_power_split", no_split)
+    monkeypatch.setattr(fields, "make_field", refuse)
+    monkeypatch.setattr(geometry, "make_field", refuse)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        standard_polar_space.__wrapped__(family, 2, q)
+
+
+def test_counting_paths_build_no_field_table():
+    # a fresh interpreter, so no space in standard_polar_space's cache has
+    # read its field yet
+    script = """
+import contextlib, io
+from polardesign import cli, fields, geometry, klp
+
+def refuse(p):
+    raise RuntimeError(f"built the table of F_{p}")
+
+fields.make_field = geometry.make_field = refuse
+runs = [
+    ["count", "--family", "C", "--q", "32", "--n", "20", "--k", "3"],
+    ["count", "--family", "2D", "--q", "32", "--n", "20", "--k", "3", "--t", "1"],
+    ["count", "--family", "2A-odd", "--q", "5", "--n", "20", "--k", "3"],
+    ["klp-report", "--family", "D", "--q", "32", "--n", "23", "--t", "3", "--k", "7"],
+    ["klp-report", "--family", "2A-odd", "--q", "5", "--n", "60", "--t", "3", "--k", "7"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+for family in ("2A-odd", "2A-even", "B", "C", "D", "2D"):
+    q = 5 if family.startswith("2A") else 32
+    klp.feasibility_report(geometry.standard_polar_space(family, 23, q), 3, 7)
+try:
+    geometry.standard_polar_space("C", 2, 2).field
+except RuntimeError as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    # the patch is live: a read of a field does reach it
+    assert run.stdout == "built the table of F_2\n"
 
 
 @pytest.mark.parametrize("bad", [0, 1, 6, 10, 12, 15, 33, 64])
