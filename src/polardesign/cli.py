@@ -28,10 +28,10 @@ from .geometry import (
     standard_polar_space,
 )
 from .incidence import (
+    canonical_json_chunks,
     design_to_json,
     read_certificate,
     verify_design,
-    write_certificate,
 )
 from .search import DivisibilityError, SearchFailure, SearchProblem, find_design
 
@@ -182,12 +182,9 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     space = standard_polar_space(args.family, args.n, args.q)
     subspaces = isotropic_kspaces(space, args.k, args.budget)
-    _emit(
-        {
-            "count": decimal_string(len(subspaces)),
-            "subspaces": [s.to_lists() for s in subspaces],
-        }
-    )
+    payload = {"count": decimal_string(len(subspaces))}
+    for chunk in canonical_json_chunks(payload, "subspaces", subspaces):
+        sys.stdout.write(chunk)
     return EXIT_OK
 
 
@@ -317,9 +314,11 @@ def _cmd_search(args) -> int:
             {"found": False, "reason": result.reason, "nodes": decimal_string(result.nodes)}
         )
         return EXIT_BUDGET if result.reason == "budget" else EXIT_VIOLATION
+    text = design_to_json(result)
     if args.output:
-        write_certificate(args.output, result)
-    sys.stdout.write(design_to_json(result))
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -225,9 +225,12 @@ class FieldTable:
         return f"FieldTable(order={self.order})"
 
 
+@lru_cache(maxsize=None)
 def field_order_split(p: int) -> tuple[int, int]:
     """(characteristic, degree) of F_p; ValueError unless p is a prime power
-    at most ``FIELD_ORDER_CAP``.  Builds no table."""
+    at most ``FIELD_ORDER_CAP``.  Builds no table.  Memoized: only the
+    valid orders are cached, at most one per prime power up to the cap, and
+    a refused order raises again on every call."""
     if p > FIELD_ORDER_CAP:  # before factoring, whose cost grows with p
         raise ValueError(f"field order {p} exceeds the desk-scale cap {FIELD_ORDER_CAP}")
     split = prime_power_split(p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product, repeat
 from operator import itemgetter
-from struct import Struct
+from struct import Struct, iter_unpack, unpack
 from typing import Iterator
 
 from . import _pykernels as kernels
@@ -156,7 +156,7 @@ class FormEvaluator:
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Subspace:
     """A k-space as its unique k x d RREF matrix, held as the k*d row-major
     field codes the kernels read and write.  Ordering is lexicographic in
@@ -306,27 +306,45 @@ def is_totally_isotropic(form: FormEvaluator, subspace: Subspace) -> bool:
     return True
 
 
-_LEVEL_CACHE: dict[tuple, list[bytes]] = {}
+_LEVEL_CACHE: dict[tuple, bytes] = {}  # (space, k): the level's sorted records, joined
 
 
 def clear_enumeration_cache() -> None:
     _LEVEL_CACHE.clear()
 
 
-def _extend_once(space, level, j):
+_CUT_RECORDS = 64  # records per struct item in _records
+
+
+def _records(mats, size):
+    """The ``size``-byte records of the string ``mats``, in order, as a
+    list.  ``struct`` cuts _CUT_RECORDS records per item, so it makes no
+    tuple per record, and it caches the format per record size."""
+    whole = len(mats) - len(mats) % (size * _CUT_RECORDS)
+    items = iter_unpack(f"{size}s" * _CUT_RECORDS, memoryview(mats)[:whole])
+    records = list(chain.from_iterable(items))
+    records += unpack(f"{size}s" * ((len(mats) - whole) // size), mats[whole:])
+    return records
+
+
+def _extend_once(space, mats, j):
     """The next level of a walk from the zero space, sorted.  Kept apart
     from ``_extend_level`` with this three-argument signature because
     layerbench/tracer.py wraps it to count subspaces per level."""
-    return _extend_level(space, level, j, b"")
+    return _extend_level(space, mats, j, b"")
 
 
-def _extend_level(space, level, j, start):
+def _extend_level(space, mats, j, start):
     """The words of level j + 1 of a walk from the canonical bytes
-    ``start``, from ``level``, the complete level j of its words: the kernel
-    joins them and produces each word once, so sorting is all that is left.
-    From the zero space a word is the subspace's canonical matrix."""
-    raw = kernels.extend_level(b"".join(level), len(level), j, space.d, space.form, start)
-    return sorted(map(itemgetter(0), Struct(f"{(j + 1) * space.d}s").iter_unpack(raw)))
+    ``start``, sorted, from ``mats``, the complete level j of its words
+    joined into one string: the kernel joins them and produces each word
+    once, so sorting is all that is left.  From the zero space a word is
+    the subspace's canonical matrix."""
+    count = len(mats) // (j * space.d) if j else 1  # level 0 is the empty word alone
+    raw = kernels.extend_level(mats, count, j, space.d, space.form, start)
+    level = _records(raw, (j + 1) * space.d)
+    level.sort()
+    return level
 
 
 def _with_start(field, start, words, d):
@@ -362,32 +380,36 @@ def _final_level(space, k, budget, start: Subspace | None = None):
     only.  Every level the walk passes through, from the base to k, is held
     to the budget by its closed-form size before the cache is read, so the
     verdict does not depend on what is cached.  Full levels are memoized
-    once they pass the produced-size check, and a full walk resumes from the
-    deepest cached level."""
+    once they pass the produced-size check, each as one string of its
+    records, and a full walk resumes from the deepest cached level.  The
+    level is returned as a list of records either way."""
     base = 0 if start is None else start.k
     for j in range(base, k + 1):
         # name the level, not its predicted size, which str() refuses past 4300 digits
         if polar_count_through(space, base, j) > budget:
             raise BudgetExceededError(f"level {j} is predicted to exceed budget {budget}")
-    level, j0 = [b""], 0
+    mats, j0 = b"", 0
     if start is None:
         cached = _LEVEL_CACHE.get((space, k))
         if cached is not None:
-            return cached
+            return _records(cached, k * space.d)
         j0 = max((j for j in range(1, k) if (space, j) in _LEVEL_CACHE), default=0)
         if j0:
-            level = _LEVEL_CACHE[(space, j0)]
+            mats = _LEVEL_CACHE[(space, j0)]
+    level = [b""]  # level 0 of every walk: the empty word
     for j in range(j0, k - base):
+        del level  # level j is held only as the string ``mats`` while j + 1 is built
         if start is None:
-            level = _extend_once(space, level, j)
+            level = _extend_once(space, mats, j)
         else:
-            level = _extend_level(space, level, j, start.data)
+            level = _extend_level(space, mats, j, start.data)
         if len(level) > budget:
             raise BudgetExceededError(
                 f"level {base + j + 1} holds {len(level)} subspaces, budget {budget}"
             )
+        mats = b"".join(level)
         if start is None:
-            _LEVEL_CACHE[(space, j + 1)] = level
+            _LEVEL_CACHE[(space, j + 1)] = mats
     if start is None:
         return level
     return _with_start(space.field, start.data, level, space.d)

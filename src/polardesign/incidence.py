@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Iterator
 
 from .counting import gaussian_binomial, lambda_ratio, polar_count
 from .geometry import (
@@ -156,22 +157,80 @@ def verify_design(
     )
 
 
-def design_to_payload(instance: DesignInstance) -> dict:
-    return {
+# The layout json.dumps(..., sort_keys=True, indent=2) gives a list of
+# subspaces that is the value of a top-level key: per code c, the text
+# before it at the start of a subspace's first row, at the start of a later
+# row, and after another code of its row.
+_FIRST_ROW = tuple(f"\n      [\n        {c}" for c in range(256))
+_NEXT_ROW = tuple(f"\n      ],\n      [\n        {c}" for c in range(256))
+_NEXT_CODE = tuple(f",\n        {c}" for c in range(256))
+_CHUNK_CHARS = 1 << 16  # the text of a subspace list is handed out in chunks about this long
+
+
+def _subspace_list_chunks(subspaces) -> Iterator[str]:
+    """The row lists of the sequence ``subspaces`` as json.dumps lays out
+    the value of a top-level key with sort_keys=True and indent=2, one code
+    per line, in chunks of about _CHUNK_CHARS characters.  Each subspace's
+    text is one ``str.join`` over its codes through the tables above, so no
+    token per code is ever held."""
+    if not subspaces:
+        yield "[]"
+        return
+    getitem, layouts = tuple.__getitem__, {}
+    parts, size, sep = [], 0, "["
+    for s in subspaces:
+        d, data = s.ambient, s.data
+        if data:
+            layout = layouts.get((len(data), d))
+            if layout is None:
+                row = (_NEXT_ROW,) + (_NEXT_CODE,) * (d - 1)
+                layout = (_FIRST_ROW,) + row[1:] + row * (len(data) // d - 1)
+                layouts[len(data), d] = layout
+            text = f"{sep}\n    [{''.join(map(getitem, layout, data))}\n      ]\n    ]"
+        else:
+            text = f"{sep}\n    []"
+        parts.append(text)
+        size += len(text)
+        if size >= _CHUNK_CHARS:
+            yield "".join(parts)
+            parts, size = [], 0
+        sep = ","
+    parts.append("\n  ]")
+    yield "".join(parts)
+
+
+def canonical_json_chunks(payload: dict, key: str, subspaces) -> Iterator[str]:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, in
+    chunks, where ``doc`` is ``payload`` with the row lists of ``subspaces``
+    (see ``Subspace.to_lists``) under ``key``: the list is written directly
+    in that layout, so memory follows the length of a chunk, not one string
+    per code.  The other values are small and go through ``json.dumps``."""
+    sep = "{\n  "
+    for name in sorted({*payload, key}):
+        yield f"{sep}{json.dumps(name)}: "
+        if name == key:
+            yield from _subspace_list_chunks(subspaces)
+        else:
+            yield json.dumps(payload[name], sort_keys=True, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n}\n"
+
+
+def design_to_json(instance: DesignInstance) -> str:
+    """Canonical certificate text: sorted keys, two-space indent, newline."""
+    fields = {
         "family": instance.family,
         "q": instance.q,
         "n": instance.n,
         "t": instance.t,
         "k": instance.k,
         "lambda": instance.lam,
-        "blocks": [b.to_lists() for b in instance.blocks],
         "provenance": dict(instance.provenance),
     }
-
-
-def design_to_json(instance: DesignInstance) -> str:
-    """Canonical certificate text: sorted keys, two-space indent, newline."""
-    return json.dumps(design_to_payload(instance), sort_keys=True, indent=2) + "\n"
+    text = ""
+    for chunk in canonical_json_chunks(fields, "blocks", instance.blocks):
+        text += chunk  # CPython grows a string with no other reference in place
+    return text
 
 
 def _certificate_int(payload: dict, key: str) -> int:

@@ -4,6 +4,7 @@ isotropy is checked on every vector pair of the full span."""
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -627,3 +628,25 @@ def reference_tspace_positions(
     position = {data: i for i, data in enumerate(level)}.get
     subs = reference_tsubspace_bytes(space.field, list(outers), space.d, t)
     return level, [[position(data) for data in within] for within in subs]
+
+
+def reference_design_payload(instance) -> dict:
+    """The certificate of a ``DesignInstance`` as one JSON-ready dict, every
+    block as its row lists."""
+    return {
+        "family": instance.family,
+        "q": instance.q,
+        "n": instance.n,
+        "t": instance.t,
+        "k": instance.k,
+        "lambda": instance.lam,
+        "blocks": [b.to_lists() for b in instance.blocks],
+        "provenance": dict(instance.provenance),
+    }
+
+
+def reference_canonical_json(payload) -> str:
+    """The whole payload through ``json.dumps`` at once: the reference for
+    the certificate and ``enumerate`` text, which write their subspace
+    lists directly in this layout."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -10,13 +10,14 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_canonical_json, reference_design_payload
 from polardesign import cli
-from polardesign.geometry import standard_polar_space
-from polardesign.incidence import design_to_payload
+from polardesign.geometry import Subspace, standard_polar_space
+from polardesign.incidence import DesignInstance, design_to_json
 from polardesign.search import SearchProblem, find_design
 
 # the 5-line spread of C_2 q=2: blocks of 2 rows of 4 codes below p = 2
-BASE = design_to_payload(
+BASE = reference_design_payload(
     find_design(SearchProblem(space=standard_polar_space("C", 2, 2), t=1, k=2, lam=1))
 )
 REQUIRED = ("family", "q", "n", "t", "k", "lambda", "blocks")
@@ -122,3 +123,39 @@ def test_mutated_certificate_exits_with_a_verdict_not_a_crash(tmp_path_factory, 
     assert code in allowed, (payload, code, err.getvalue())
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+big_ints = st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def designs(draw):
+    d = draw(st.integers(2, 10))
+    k = draw(st.integers(0, d))
+    codes = st.binary(min_size=k * d, max_size=k * d)
+    blocks = tuple(Subspace(d, data) for data in draw(st.lists(codes, max_size=20)))
+    return DesignInstance(
+        family=draw(st.text()),
+        q=draw(big_ints),
+        n=draw(big_ints),
+        t=draw(big_ints),
+        k=k,
+        lam=draw(big_ints),
+        blocks=blocks,
+        provenance=draw(st.dictionaries(st.text(), json_values, max_size=5)),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(instance=designs())
+def test_certificate_text_is_the_whole_payload_through_json_dumps(instance):
+    assert design_to_json(instance) == reference_canonical_json(reference_design_payload(instance))

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
+from oracles import reference_canonical_json
 from polardesign import cli
 from polardesign.cli import main
 from polardesign.counting import polar_count
-from polardesign.geometry import standard_polar_space
+from polardesign.geometry import FAMILY_NAMES, isotropic_kspaces, standard_polar_space
 from polardesign.incidence import design_from_json
 from polardesign.klp import klp_budget
 
@@ -71,6 +72,36 @@ def test_enumerate_budget_exhaustion_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+ENUMERATE_SPACES = [
+    (family, n, 2) for family in FAMILY_NAMES for n in (1, 2, 3)
+] + [("2A-even", 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "family,n,q", ENUMERATE_SPACES, ids=[f"{f}-{n}-q{q}" for f, n, q in ENUMERATE_SPACES]
+)
+def test_enumerate_text_is_the_whole_payload_through_json_dumps(capsys, family, n, q):
+    # the subspace list is written directly in the canonical layout, in
+    # chunks; the reference encodes the whole payload at once
+    space = standard_polar_space(family, n, q)
+    for k in range(n + 1):
+        code, out, _ = run_cli(capsys, "enumerate", "--family", family, "--q", str(q),
+                               "--n", str(n), "--k", str(k))
+        level = isotropic_kspaces(space, k)
+        want = {"count": str(len(level)), "subspaces": [s.to_lists() for s in level]}
+        assert code == 0 and out == reference_canonical_json(want)
+
+
+@pytest.mark.parametrize(
+    "flags,code",
+    [(("--k", "3"), 2), (("--k", "2", "--budget", "1"), 3)],
+    ids=["k-above-n", "budget"],
+)
+def test_enumerate_writes_nothing_to_stdout_when_it_fails(capsys, flags, code):
+    got = run_cli(capsys, "enumerate", "--family", "C", "--q", "2", "--n", "2", *flags)
+    assert got[:2] == (code, "") and got[2]
 
 
 def test_verify_counts(capsys):

@@ -32,6 +32,7 @@ from polardesign.geometry import (
     FAMILY_NAMES,
     BudgetExceededError,
     FormEvaluator,
+    _LEVEL_CACHE,
     Subspace,
     _extend_level,
     _extend_once,
@@ -523,7 +524,7 @@ def test_start_insertion_matches_the_rref_of_the_stacked_rows(family, n, q):
                     rref_canonicalize(sp.field, start.rows + Subspace(sp.d, word).rows, sp.d).data
                     for word in level
                 )
-                level = _extend_level(sp, level, j, start.data)
+                level = _extend_level(sp, b"".join(level), j, start.data)
                 j += 1
 
 
@@ -601,7 +602,7 @@ def test_witt_index_equals_rank():
         ("2D", 1, 3),
     ]:
         sp = standard_polar_space(family, n, q)
-        top = [s.to_bytes() for s in isotropic_kspaces(sp, sp.n)]
+        top = b"".join(s.to_bytes() for s in isotropic_kspaces(sp, sp.n))
         assert top
         assert _extend_once(sp, top, sp.n) == []
 
@@ -624,6 +625,24 @@ def test_full_walks_resume_from_the_deepest_cached_level(monkeypatch):
         assert calls == list(range(sp.n))
         isotropic_kspaces(sp, sp.n)
         assert calls == list(range(sp.n))
+    finally:
+        clear_enumeration_cache()
+
+
+@pytest.mark.parametrize("family,n,q", [("C", 3, 2), ("2A-even", 2, 3), ("B", 3, 3)])
+def test_the_cache_holds_each_level_as_one_string_of_records(family, n, q):
+    # one bytes string per level, polar_count records of k*d codes, and a
+    # cached read cuts it into the records the walk produced
+    sp = standard_polar_space(family, n, q)
+    clear_enumeration_cache()
+    try:
+        walked = [s.data for s in isotropic_kspaces(sp, sp.n)]
+        for k in range(1, sp.n + 1):
+            cached = _LEVEL_CACHE[(sp, k)]
+            assert type(cached) is bytes
+            assert len(cached) == polar_count(sp, k) * k * sp.d
+        assert [s.data for s in isotropic_kspaces(sp, sp.n)] == walked
+        assert b"".join(walked) == _LEVEL_CACHE[(sp, sp.n)]
     finally:
         clear_enumeration_cache()
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -133,7 +134,7 @@ def test_verify_rejects_a_level_missing_a_tspace(monkeypatch, in_a_block, same_s
     broken = [data for data in level if data != dropped]
     if same_size:
         broken.append(broken[-1])
-    monkeypatch.setitem(geometry._LEVEL_CACHE, (space, 1), broken)
+    monkeypatch.setitem(geometry._LEVEL_CACHE, (space, 1), b"".join(broken))
     instance = DesignInstance(family="C", q=2, n=3, t=1, k=3, lam=1, blocks=(block,))
     with pytest.raises(AssertionError, match="level 1 is not every isotropic 1-space"):
         verify_design(instance)
@@ -240,6 +241,24 @@ def test_certificate_roundtrip_is_byte_identical(tmp_path):
     path2 = tmp_path / "cert2.json"
     write_certificate(path2, read_certificate(path))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_certificate_text_takes_less_than_twice_its_length():
+    # the 1120 generators of B_3 q=3, the lambda = 4 design: written block by
+    # block into chunks, where one json.dumps held a string per token
+    space = standard_polar_space("B", 3, 3)
+    instance = DesignInstance(
+        family="B", q=3, n=3, t=2, k=3, lam=4, blocks=tuple(isotropic_kspaces(space, 3)),
+        provenance={"method": "exact-cover", "nodes": 1121, "seed": 0},
+    )
+    tracemalloc.start()
+    try:
+        text = design_to_json(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 326_098
+    assert peak < 2 * len(text)
 
 
 def test_certificate_schema():
