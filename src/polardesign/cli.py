@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-import traceback
 from fractions import Fraction
 from functools import cache
 
@@ -369,6 +368,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        import traceback  # only an internal error prints one
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

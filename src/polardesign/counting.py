@@ -9,10 +9,10 @@ exponents over sqrt(p), so no intermediate ever leaves the integers.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 # below this many bits an int goes to Decimal directly
 _DECIMAL_LEAF_BITS = 128
@@ -104,8 +104,7 @@ def power_half(p: int, twice_exponent: int) -> int:
     return s**twice_exponent
 
 
-@dataclass(frozen=True)
-class CountExpression:
+class CountExpression(NamedTuple):
     """A count together with the factors it was assembled from."""
 
     value: int

@@ -13,9 +13,8 @@ once per (p, t, k) per process and returns that same frozen object after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .counting import gaussian_binomial, fixed_intersection_count, polar_count
 from .fields import prime_power_split
@@ -69,8 +68,7 @@ def _cramer_numerators(matrix: Sequence[Sequence[int]]) -> list[int]:
     return dets
 
 
-@dataclass(frozen=True)
-class DecodingSystem:
+class DecodingSystem(NamedTuple):
     """Upper-triangular system D f = (0, .., 0, m)^T with integer solution,
     where m = det D, and the closed form of ||gamma_V||_1: k-subspaces of the
     (k+t)-space W grouped by their intersection dimension with V."""
@@ -139,8 +137,7 @@ def determinant_bound(system: DecodingSystem) -> int:
     return system.p ** (system.k * (system.t + 1) ** 2)
 
 
-@dataclass(frozen=True)
-class DeterminantBoundReport:
+class DeterminantBoundReport(NamedTuple):
     ok: bool
     bound: int
 
@@ -164,8 +161,7 @@ def _gamma_l1(p: int, t: int, k: int, f: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class LocalDecodabilityReport:
+class LocalDecodabilityReport(NamedTuple):
     ok: bool
     m: int
     gamma_l1: int

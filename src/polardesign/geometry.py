@@ -12,12 +12,11 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product, repeat
 from operator import itemgetter
 from struct import Struct, iter_unpack, unpack
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import _pykernels as kernels
 from .counting import polar_count_through
@@ -156,11 +155,10 @@ class FormEvaluator:
         return f"FormEvaluator(kind={self.kind!r}, d={self.dimension}, p={self.field.order})"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A k-space as its unique k x d RREF matrix, held as the k*d row-major
-    field codes the kernels read and write.  Ordering is lexicographic in
-    those codes, the same as on the matrix rows."""
+    field codes the kernels read and write.  It orders and hashes as the pair
+    (ambient, data): lexicographic in the codes, as on the matrix rows."""
 
     ambient: int
     data: bytes
@@ -225,17 +223,13 @@ def canonical_data(field: FieldTable, codes, d: int) -> bytes:
     return red
 
 
-@dataclass(frozen=True, eq=False)
 class PolarSpace:
     """Descriptor of one of the six families; its form and field tables are
-    built on first use, so the closed-form counts never build either."""
+    built on first use, so the closed-form counts never build either.  It
+    compares and hashes by identity, which keeps space-keyed caches cheap."""
 
-    family: str
-    n: int
-    q: int
-    p: int
-    d: int
-    twice_e: int
+    def __init__(self, family: str, n: int, q: int, p: int, d: int, twice_e: int):
+        self.family, self.n, self.q, self.p, self.d, self.twice_e = family, n, q, p, d, twice_e
 
     def __repr__(self):
         return f"PolarSpace({self.family}, n={self.n}, q={self.q})"

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .counting import gaussian_binomial, lambda_ratio, polar_count
 from .geometry import (
@@ -27,8 +26,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class RowSumReport:
+class RowSumReport(NamedTuple):
     ok: bool
     expected: int
     checked: int
@@ -64,25 +62,26 @@ def constant_row_sum_check(
     return RowSumReport(ok=True, expected=expected, checked=len(positions), violation=None)
 
 
-@dataclass(frozen=True)
 class DesignInstance:
-    """A claimed t-(n,k,lambda) design: blocks plus provenance metadata."""
+    """A claimed t-(n,k,lambda) design: a tuple of Subspace blocks plus a
+    provenance dict.  Not a tuple itself, so a search result is told apart
+    from a SearchFailure; equal when all fields are."""
 
-    family: str
-    q: int
-    n: int
-    t: int
-    k: int
-    lam: int
-    blocks: tuple[Subspace, ...]
-    provenance: dict = field(default_factory=dict)
+    def __init__(
+        self, family: str, q: int, n: int, t: int, k: int, lam: int, blocks, provenance=None
+    ):
+        self.family, self.q, self.n, self.t, self.k, self.lam = family, q, n, t, k, lam
+        self.blocks = blocks
+        self.provenance = {} if provenance is None else provenance
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     def space(self) -> PolarSpace:
         return standard_polar_space(self.family, self.n, self.q)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     lam: int | None
     violation: tuple[Subspace, int] | None

@@ -164,14 +164,13 @@ def feasibility_report(
     """
     constant, c_prime = _exact(constant), _exact(c_prime)
     budget = _budget_fields(space, t, k, constant, c_prime)
+    # n_blocks = j m |A|, the least multiple of c1_upper_witness at or above
+    # the threshold, so lambda = n_blocks N(t->k) / |X| = n_blocks [k t]_p / |A|
+    # (double counting) = j m [k t]_p
     c1w = budget["c1_upper_witness"]
-    n_blocks = -(-budget["n_threshold"] // c1w) * c1w
-    # lambda = n_blocks N(t->k) / |X| = n_blocks [k t]_p / |A| (double
-    # counting), and n_blocks = j m |A|, so lambda = j m [k t]_p
-    jm, remainder = divmod(n_blocks, budget["count_tspaces"])
-    if remainder:
-        raise AssertionError("|A| does not divide the block count")
-    lam = jm * gaussian_binomial(k, t, space.p)
+    j = -(-budget["n_threshold"] // c1w)
+    n_blocks = j * c1w
+    lam = j * budget["m"] * gaussian_binomial(k, t, space.p)
     return {
         **budget,
         "constant_C": decimal_string(constant),

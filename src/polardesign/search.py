@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import polar_count, polar_count_through
 from .geometry import (
@@ -29,26 +29,35 @@ class DivisibilityError(ValueError):
     """The necessary counting condition fails; no search is attempted."""
 
 
-@dataclass(frozen=True)
 class SearchProblem:
-    space: PolarSpace
-    t: int
-    k: int
-    lam: int
-    method: str = "exact-cover"
-    seed: int = 0
-    node_budget: int = 10_000_000
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
+    # the defaults are class attributes, read as SearchProblem.node_budget
+    method = "exact-cover"
+    seed = 0
+    node_budget = 10_000_000
+    enumeration_budget = DEFAULT_ENUMERATION_BUDGET
+
+    def __init__(
+        self,
+        space: PolarSpace,
+        t: int,
+        k: int,
+        lam: int,
+        method: str = method,
+        seed: int = seed,
+        node_budget: int = node_budget,
+        enumeration_budget: int = enumeration_budget,
+    ):
+        self.space, self.t, self.k, self.lam = space, t, k, lam
+        self.method, self.seed = method, seed
+        self.node_budget, self.enumeration_budget = node_budget, enumeration_budget
 
 
-@dataclass(frozen=True)
-class SearchFailure:
+class SearchFailure(NamedTuple):
     reason: str  # "budget" or "infeasible"
     nodes: int
 
 
-@dataclass(frozen=True)
-class CoverMatrix:
+class CoverMatrix(NamedTuple):
     """Sparse incidence of t-spaces (rows) against k-spaces (columns); both
     levels are canonical bytes in lexicographic order."""
 

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from polardesign.counting import polar_count
 from polardesign.geometry import FAMILY_NAMES, isotropic_kspaces, standard_polar_space
 from polardesign.incidence import design_from_json
 from polardesign.klp import klp_budget
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -375,9 +380,28 @@ def test_internal_errors_exit_four_not_violation(monkeypatch, capsys):
     )
     assert code == 4
     assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
     assert err.splitlines()[-1] == (
         "internal error: AssertionError: search produced an invalid design"
     )
+
+
+def test_cli_import_loads_no_module_its_code_does_not_run():
+    # dataclasses would pull in inspect, ast, dis and tokenize, and traceback
+    # is imported only where an internal error prints one
+    script = (
+        "import sys; before = set(sys.modules); import polardesign.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "polardesign.cli" in loaded
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "traceback"}
+    assert not loaded & unused
 
 
 def test_diagnostics_go_to_stderr_not_stdout(capsys):

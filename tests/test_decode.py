@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -189,7 +188,7 @@ def test_local_decodability_reports_a_wrong_solution(monkeypatch, family, n, q, 
     # lexicographic order, with the sum a direct containment count gives
     def perturbed(p, t, k):
         system = build_decoding_system(p, t, k)
-        return dataclasses.replace(system, f=(system.f[0] + 1,) + system.f[1:])
+        return system._replace(f=(system.f[0] + 1,) + system.f[1:])
 
     monkeypatch.setattr(decode, "build_decoding_system", perturbed)
     space = standard_polar_space(family, n, q)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -892,10 +891,21 @@ def test_tspace_positions_reject_mixed_or_ragged_outers():
             tspace_positions(sp, 1, outers)
 
 
+@pytest.mark.parametrize("family,n,q", [("C", 2, 3), ("2A-even", 2, 2)])
+def test_subspaces_hash_and_order_as_their_field_pairs(family, n, q):
+    # set orders, levels, certificates and digests rest on this
+    sp = standard_polar_space(family, n, q)
+    subspaces = isotropic_kspaces(sp, 1) + isotropic_kspaces(sp, 2)
+    random.Random(7).shuffle(subspaces)
+    pairs = [(s.ambient, s.data) for s in subspaces]
+    assert all(hash(s) == hash(pair) for s, pair in zip(subspaces, pairs))
+    assert [(s.ambient, s.data) for s in sorted(subspaces)] == sorted(pairs)
+
+
 def test_subspace_serialization_roundtrip():
     # a Subspace stores its ambient dimension and canonical bytes; k, rows
     # and the JSON lists are derived from them
-    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient", "data"]
+    assert Subspace._fields == ("ambient", "data")
     for family, n, q in [("B", 2, 3), ("2A-odd", 2, 2)]:
         sp = standard_polar_space(family, n, q)
         for k in range(n + 1):

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from polardesign import cli
 from polardesign.counting import gaussian_binomial, polar_count, polar_count_through
 from polardesign.geometry import (
+    DEFAULT_ENUMERATION_BUDGET,
     FAMILY_NAMES,
     BudgetExceededError,
     isotropic_kspaces,
@@ -240,3 +242,16 @@ def test_search_outcomes_and_node_counts_are_pinned(
 @pytest.mark.parametrize("family,n,k,expected", [("D", 2, 2, 2), ("C", 3, 3, 960), ("D", 3, 3, 0)])
 def test_count_spreads_values_are_pinned(family, n, k, expected):
     assert count_spreads(standard_polar_space(family, n, 2), 1, k) == expected
+
+
+def test_search_problem_defaults_are_readable_on_the_class():
+    # the CLI and the benchmark read the defaults as SearchProblem.node_budget
+    problem = SearchProblem(space=standard_polar_space("C", 2, 2), t=1, k=2, lam=1)
+    for name in ("method", "seed", "node_budget", "enumeration_budget"):
+        assert getattr(SearchProblem, name) == getattr(problem, name)
+    assert (SearchProblem.method, SearchProblem.seed) == ("exact-cover", 0)
+    assert SearchProblem.node_budget == 10_000_000
+    assert SearchProblem.enumeration_budget == DEFAULT_ENUMERATION_BUDGET
+    argv = ["search", "--family", "C", "--q", "2", "--n", "2", "--t", "1", "--k", "2"]
+    args = cli.build_parser().parse_args(argv + ["--lambda", "1"])
+    assert args.node_budget == SearchProblem.node_budget
