@@ -11,14 +11,30 @@ other rows, or at level 0 per slice of the points of perp(S) / S.
 ``extend_level`` takes the ``FormEvaluator``, which carries the field, and
 reads the form only through its ``pairing_row`` and ``is_isotropic_vector``;
 it needs the complete level of a walk, every totally isotropic space of one
-dimension that contains the walk's start, each by its word.
+dimension that contains the walk's start, each by its word.  ``_records``
+is the one cutter of a string into fixed-size records: a level, a column of
+t-subspaces or a slice of points.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
+from struct import iter_unpack, unpack
 
 _SLICE_POINTS = 1 << 14  # the most points of perp(S) / S built in one string
+_CUT_RECORDS = 64  # records per struct item in _records
+
+
+def _records(mats, size):
+    """The ``size``-byte records of the string ``mats``, in order, as a
+    list.  ``struct`` cuts _CUT_RECORDS records per item, so it makes no
+    tuple per record, and it caches the format per record size."""
+    whole = len(mats) - len(mats) % (size * _CUT_RECORDS)
+    items = iter_unpack(f"{size}s" * _CUT_RECORDS, memoryview(mats)[:whole])
+    records = list(chain.from_iterable(items))
+    records += unpack(f"{size}s" * ((len(mats) - whole) // size), mats[whole:])
+    return records
 
 
 def rref(mat, rows, cols, field):
@@ -161,10 +177,9 @@ def _start_children(start, d, form):
         block = _span_points(lead, comp[idx + 1 : idx + 1 + low], field)
         offsets = _span_points(bytes(d), comp[idx + 1 + low :], field)
         copies = len(block) // d
-        for at in range(0, len(offsets), d):
-            points = _add_strings(block, offsets[at : at + d] * copies, field) if at else block
-            points = [points[i : i + d] for i in range(0, len(points), d)]
-            out += b"".join(filter(form.is_isotropic_vector, points))
+        for at, offset in enumerate(_records(offsets, d)):
+            points = _add_strings(block, offset * copies, field) if at else block
+            out += b"".join(filter(form.is_isotropic_vector, _records(points, d)))
     return bytes(out)
 
 

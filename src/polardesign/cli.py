@@ -32,7 +32,7 @@ from .incidence import (
     read_certificate,
     verify_design,
 )
-from .search import DivisibilityError, SearchFailure, SearchProblem, find_design
+from .search import METHODS, DivisibilityError, SearchFailure, SearchProblem, find_design
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--lambda", dest="lam", required=True, type=int)
     p_search.add_argument(
         "--method",
-        default="exact-cover",
-        choices=("exact-cover", "randomized-greedy-with-backtracking"),
+        default=SearchProblem.method,
+        choices=METHODS,
         help="exact-cover tries the k-spaces in lexicographic order; "
         "randomized-greedy-with-backtracking runs the same exact cover over "
         "an order shuffled by --seed",

@@ -2,8 +2,11 @@
 
 Elements are integer codes 0..p-1.  For prime p the code is the residue; for
 p = ell^r the code is the base-ell digit encoding of a polynomial in the basis
-1, x, .., x^(r-1) modulo the lexicographically least monic irreducible
-polynomial of degree r over F_ell.  0 and 1 always encode the additive and
+1, x, .., x^(r-1) modulo a monic irreducible polynomial of degree r over
+F_ell.  That modulus is the first of x^r + low, for low the polynomial whose
+code is m = 0, 1, 2, .., whose mul table gives every nonzero code an inverse:
+a reducible modulus leaves a zero divisor, which has none, so the table's
+rows decide irreducibility.  0 and 1 always encode the additive and
 multiplicative identities, so all tables are reproducible.
 
 ``field_order_split`` refuses an order that names no field at desk scale
@@ -74,60 +77,26 @@ def prime_power_split(p: int):
     return None
 
 
-def _poly_mulmod(a, b, modulus, ell):
-    # little-endian coefficient tuples; modulus monic of degree r
-    r = len(modulus) - 1
-    prod = [0] * (2 * r - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % ell
-    for i in range(len(prod) - 1, r - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(r):
-                prod[i - r + j] = (prod[i - r + j] - c * modulus[j]) % ell
-    return tuple(prod[:r])
-
-
-def _poly_rem(a, b, ell):
-    # remainder of a by monic b, both little-endian lists
-    a = list(a)
-    db = len(b) - 1
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % ell
-    return a[:db]
-
-
-def _is_irreducible(poly, ell):
-    # monic, degree >= 1; trial division by all monic polys of degree <= r//2
-    r = len(poly) - 1
-    for s in range(1, r // 2 + 1):
-        for m in range(ell**s):
-            div, x = [], m
-            for _ in range(s):
-                div.append(x % ell)
-                x //= ell
-            div.append(1)
-            if not any(_poly_rem(poly, div, ell)):
-                return False
-    return True
-
-
-def _least_irreducible(ell: int, r: int):
-    for m in range(ell**r):
-        coeffs, x = [], m
-        for _ in range(r):
-            coeffs.append(x % ell)
-            x //= ell
-        poly = tuple(coeffs) + (1,)
-        if _is_irreducible(poly, ell):
-            return poly
-    raise RuntimeError(f"no irreducible polynomial of degree {r} over F_{ell}")
+def _mul_table(reps, add, modulus, ell):
+    """The mul table of F_ell[x] / (modulus) on the digit tuples ``reps`` of
+    the codes, built row by row, or None at the first row of a nonzero code
+    that holds no 1: that code has no inverse, so the modulus is reducible.
+    Row a is linear in b: its entries at the codes below ell^(i+1) are those
+    below ell^i plus each multiple of a x^i, sums read off the add table."""
+    p, mul = len(reps), bytearray()
+    for a, u in enumerate(reps):
+        row = [0]
+        for _ in range(len(u)):  # u = a x^i and row = a b for the codes b below ell^i
+            step, multiples = _code(u, ell), [0]
+            while len(multiples) < ell:
+                multiples.append(add[multiples[-1] * p + step])
+            row = [add[x * p + m] for m in multiples for x in row]
+            # u x: u shifted up one place, less its top digit times the modulus
+            u = [(y - u[-1] * f) % ell for y, f in zip((0, *u[:-1]), modulus)]
+        if a and 1 not in row:
+            return None
+        mul += bytes(row)
+    return bytes(mul)
 
 
 def _digits(code: int, ell: int, r: int):
@@ -250,16 +219,14 @@ def make_field(p: int) -> FieldTable:
         mul = bytes((a * b) % p for a in range(p) for b in range(p))
         table = FieldTable(p, ell, 1, None, add, mul)
     else:
-        modulus = _least_irreducible(ell, r)
         reps = [_digits(c, ell, r) for c in range(p)]
-        add = bytearray(p * p)
-        mul = bytearray(p * p)
-        for a in range(p):
-            for b in range(p):
-                s = tuple((x + y) % ell for x, y in zip(reps[a], reps[b]))
-                add[a * p + b] = _code(s, ell)
-                mul[a * p + b] = _code(_poly_mulmod(reps[a], reps[b], modulus, ell), ell)
-        table = FieldTable(p, ell, r, modulus, bytes(add), bytes(mul))
+        add = bytes(_code([(x + y) % ell for x, y in zip(a, b)], ell) for a in reps for b in reps)
+        for m in range(p):  # an irreducible x^r + low exists, so one is kept
+            modulus = _digits(m, ell, r) + (1,)
+            mul = _mul_table(reps, add, modulus, ell)
+            if mul is not None:
+                break
+        table = FieldTable(p, ell, r, modulus, add, mul)
     verify_field_axioms(table)
     verify_spread_tables(table)
     return table

@@ -13,9 +13,7 @@ reproducible.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, product, repeat
-from operator import itemgetter
-from struct import Struct, iter_unpack, unpack
+from itertools import chain, combinations, product
 from typing import Iterator, NamedTuple
 
 from . import _pykernels as kernels
@@ -307,20 +305,6 @@ def clear_enumeration_cache() -> None:
     _LEVEL_CACHE.clear()
 
 
-_CUT_RECORDS = 64  # records per struct item in _records
-
-
-def _records(mats, size):
-    """The ``size``-byte records of the string ``mats``, in order, as a
-    list.  ``struct`` cuts _CUT_RECORDS records per item, so it makes no
-    tuple per record, and it caches the format per record size."""
-    whole = len(mats) - len(mats) % (size * _CUT_RECORDS)
-    items = iter_unpack(f"{size}s" * _CUT_RECORDS, memoryview(mats)[:whole])
-    records = list(chain.from_iterable(items))
-    records += unpack(f"{size}s" * ((len(mats) - whole) // size), mats[whole:])
-    return records
-
-
 def _extend_once(space, mats, j):
     """The next level of a walk from the zero space, sorted.  Kept apart
     from ``_extend_level`` with this three-argument signature because
@@ -336,7 +320,7 @@ def _extend_level(space, mats, j, start):
     the subspace's canonical matrix."""
     count = len(mats) // (j * space.d) if j else 1  # level 0 is the empty word alone
     raw = kernels.extend_level(mats, count, j, space.d, space.form, start)
-    level = _records(raw, (j + 1) * space.d)
+    level = kernels._records(raw, (j + 1) * space.d)
     level.sort()
     return level
 
@@ -386,7 +370,7 @@ def _final_level(space, k, budget, start: Subspace | None = None):
     if start is None:
         cached = _LEVEL_CACHE.get((space, k))
         if cached is not None:
-            return _records(cached, k * space.d)
+            return kernels._records(cached, k * space.d)
         j0 = max((j for j in range(1, k) if (space, j) in _LEVEL_CACHE), default=0)
         if j0:
             mats = _LEVEL_CACHE[(space, j0)]
@@ -473,17 +457,17 @@ def _rep_codes(t: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
-    """One lazy column per RREF rep of ``_rep_codes``, in that order: the
-    canonical bytes of the rep's product with each outer subspace, given by
-    its canonical bytes, outer by outer.  The product of an RREF rep and an
-    RREF basis is already canonical, and row i of the product is the
-    combination of the basis rows by row i of the rep, so one kernel call,
-    made before this returns, gives every row of every product over the
-    whole batch.  A column is built when it is reached: strided copies
-    interleave its rep's row strings into one string of its products, and
-    ``struct.iter_unpack`` cuts that into t*d-byte records in C, so only the
-    strings of the columns not yet exhausted are alive.  The outers must all
-    have one dimension k; ValueError otherwise."""
+    """One column per RREF rep of ``_rep_codes``, in that order, each a
+    list of the canonical bytes of the rep's product with each outer
+    subspace, given by its canonical bytes, outer by outer.  The product of
+    an RREF rep and an RREF basis is already canonical, and row i of the
+    product is the combination of the basis rows by row i of the rep, so one
+    kernel call, made before this returns, gives every row of every product
+    over the whole batch.  A column is built when it is reached: strided
+    copies interleave its rep's row strings into one string of its products,
+    and ``kernels._records`` cuts that into its t*d-byte records, so only
+    the columns already reached and not yet dropped are alive.  The outers
+    must all have one dimension k; ValueError otherwise."""
     sizes = set(map(len, outers))
     if len(sizes) > 1:
         raise ValueError(f"outer subspaces of different sizes {sorted(sizes)}")
@@ -497,8 +481,7 @@ def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
     combo = dict(zip(needed, combos))
     count, tsize = len(outers), t * d
     if not tsize:  # t = 0: the zero space in every outer; struct cuts no empty records
-        return (repeat(b"", count) for _ in reps)
-    record = Struct(f"{tsize}s")
+        return ([b""] * count for _ in reps)
 
     def column(rep):
         string = bytearray(count * tsize)
@@ -506,7 +489,7 @@ def _tsubspace_bytes(field: FieldTable, outers: list[bytes], d: int, t: int):
             row = combo[code]
             for c in range(d):
                 string[i * d + c :: tsize] = row[c::d]
-        return map(itemgetter(0), record.iter_unpack(string))
+        return kernels._records(string, tsize)
 
     return map(column, reps)
 

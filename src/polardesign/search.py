@@ -25,6 +25,10 @@ from .geometry import (
 from .incidence import DesignInstance, verify_design
 
 
+# the search methods, in the order the CLI lists them; see find_design
+METHODS = ("exact-cover", "randomized-greedy-with-backtracking")
+
+
 class DivisibilityError(ValueError):
     """The necessary counting condition fails; no search is attempted."""
 
@@ -231,7 +235,7 @@ def find_design(problem: SearchProblem):
     space, t, k, lam = problem.space, problem.t, problem.k, problem.lam
     if lam < 1:
         raise ValueError("lambda must be positive")
-    if problem.method not in ("exact-cover", "randomized-greedy-with-backtracking"):
+    if problem.method not in METHODS:
         raise ValueError(f"unknown method {problem.method!r}")
 
     # lam*|X|/N(t->k) blocks; it equals lam*|A|/[k t]_p by double counting,

@@ -317,9 +317,22 @@ def test_f4_structure():
     assert f4.mul(2, 2) == 3
 
 
-def test_f9_modulus_is_x2_plus_1():
-    f9 = make_field(9)
-    assert f9.modulus == (1, 0, 1)
+# the modulus of every extension field, little-endian with its leading 1:
+# the first x^r + low, low by code 0, 1, 2, .., that is irreducible
+EXTENSION_MODULI = {
+    4: (1, 1, 1),
+    8: (1, 1, 0, 1),
+    9: (1, 0, 1),
+    16: (1, 1, 0, 0, 1),
+    25: (2, 0, 1),
+    27: (1, 2, 0, 1),
+    32: (1, 0, 1, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p", sorted(EXTENSION_MODULI))
+def test_extension_field_moduli(p):
+    assert make_field(p).modulus == EXTENSION_MODULI[p]
 
 
 @pytest.mark.parametrize("p", ALL_ORDERS)

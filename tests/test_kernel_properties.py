@@ -21,7 +21,7 @@ from oracles import (
     span_vectors,
 )
 
-from polardesign._pykernels import nullspace, products, rref
+from polardesign._pykernels import _records, nullspace, products, rref
 from polardesign.counting import gaussian_binomial, polar_count
 from polardesign.fields import make_field
 from polardesign.geometry import (
@@ -251,6 +251,29 @@ def test_tspace_positions_match_the_per_outer_reference(p, data):
     level, positions = tspace_positions(space, t, outers)
     assert all(type(found) is list for found in positions)
     assert (level, positions) == reference_tspace_positions(space, t, outers)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+@pytest.mark.parametrize("size", [1, 6, 9])
+def test_records_cut_as_slicing_does(kind, count, size):
+    # whole 64-record struct items, a remainder, or both
+    mats = kind(x * 7 % 251 for x in range(count * size))
+    records = _records(mats, size)
+    assert records == [bytes(mats[i : i + size]) for i in range(0, len(mats), size)]
+    assert all(type(record) is bytes for record in records)
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 129])
+@pytest.mark.parametrize("t, k", [(1, 2), (2, 3)])
+def test_tspace_positions_match_the_reference_across_whole_record_blocks(count, t, k):
+    # each rep's column of t-subspaces holds one record per outer, so these
+    # batches of one real level cut a column into whole 64-record items, a
+    # remainder, or both
+    space = standard_polar_space("C", 3, 3)
+    outers = [u.data for u in isotropic_kspaces(space, k)[:count]]
+    assert len(outers) == count
+    assert tspace_positions(space, t, outers) == reference_tspace_positions(space, t, outers)
 
 
 @pytest.mark.parametrize("p", ALL_ORDERS)
