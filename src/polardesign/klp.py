@@ -8,22 +8,25 @@ The divisibility constant is reported as the upper witness m*|A|, not the
 true minimum.  ``klp_budget`` returns the chain as one dict, which
 ``feasibility_report`` extends with the block count and lambda.
 
-Each exact integer is computed once per report, and |A| and |X| come from
-the count memo of ``counting``, which a sweep over n shares across its
-reports.  The block count is the least multiple j*m*|A| of that witness at
-or above the threshold.  Double counting gives |A| * N(t->k) = |X| * [k t]_p, where N(t->k) counts the
-k-spaces through one t-space, so lambda at that count is
-j*m*|A| * N(t->k) / |X| = j*m*[k t]_p: an integer by construction.  The
-report's ``lambda_is_integer`` flag is therefore always true; it keeps its
-name and value because the layerbench digests cover it, as they do the flag
+Reports share their big powers of p through two small memos: p^(2nt) and
+the cap p^(21nt) per (p, n, t); m, gamma_l1, c4, p^(kt), p^(k(t+1)^2) and
+m*[k t]_p per (p, t, k).  |A| and |X| come from the count memo of
+``counting``.  The block count is the least multiple j*m*|A| of that
+witness at or above the threshold.  Double counting gives
+|A| * N(t->k) = |X| * [k t]_p, where N(t->k) counts the k-spaces through
+one t-space, so lambda at that count is j*m*|A| * N(t->k) / |X| =
+j*m*[k t]_p: an integer by construction.  The report's
+``lambda_is_integer`` flag is therefore always true; it keeps its name and
+value because the layerbench digests cover it, as they do the flag
 ``c1_witness<=|detD||A|``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .counting import decimal_string, gaussian_binomial, polar_count
+from .counting import decimal_string, gaussian_binomial, polar_count_through_expr
 from .decode import build_decoding_system
 from .geometry import PolarSpace
 
@@ -70,6 +73,23 @@ def _exact(value) -> Fraction | int:
     return value if type(value) is int else Fraction(value)
 
 
+@lru_cache(maxsize=32)
+def _rank_powers(p: int, n: int, t: int) -> tuple[int, int]:
+    """p^(2nt) and the cap p^(21nt).  A sweep over n for each k rereads a
+    (p, n, t) after one pass over the ranks, 22 in layerbench's sweep; 32
+    entries cover that and bound the memory at large n."""
+    return p ** (2 * n * t), p ** (21 * n * t)
+
+
+@lru_cache(maxsize=32)
+def _order_terms(p: int, t: int, k: int) -> tuple[int, ...]:
+    """m, gamma_l1, c4, p^(kt), p^(k(t+1)^2) and m*[k t]_p at (p, t, k)."""
+    system = build_decoding_system(p, t, k)
+    m, gamma = system.m, system.gamma_l1
+    m_kt = m * gaussian_binomial(k, t, p)
+    return m, gamma, max(m, gamma), p ** (k * t), p ** (k * (t + 1) ** 2), m_kt
+
+
 def _budget_fields(
     space: PolarSpace, t: int, k: int, constant: Fraction | int, c_prime: Fraction | int
 ) -> dict:
@@ -83,14 +103,12 @@ def _budget_fields(
         raise ValueError("needs t + k <= rank")
     n, p = space.n, space.p
 
-    system = build_decoding_system(p, t, k)
-    m, gamma_l1 = system.m, system.gamma_l1
-    c4 = max(m, gamma_l1)
-    count_a = polar_count(space, t)
-    count_x = polar_count(space, k)
+    m, gamma_l1, c4, p_kt, p_det, _ = _order_terms(p, t, k)
+    p_2nt, cap = _rank_powers(p, n, t)
+    count_a = polar_count_through_expr(space, 0, t).value
+    count_x = polar_count_through_expr(space, 0, k).value
 
-    # each power of p once; the coarse caps are products of them
-    p_2nt, p_kt, p_det = p ** (2 * n * t), p ** (k * t), p ** (k * (t + 1) ** 2)
+    # the coarse caps are products of the shared powers
     c1_witness = m * count_a
     c1_coarse = 10 * p_2nt * p_det
     c4_coarse = 4 * p_kt * p_det
@@ -132,7 +150,7 @@ def _budget_fields(
         "log_term": log_term,
         "n_threshold": n_threshold,
         "relaxed_threshold": relaxed,
-        "theorem_cap_p_21nt": p ** (21 * n * t),
+        "theorem_cap_p_21nt": cap,
         "inequalities": {
             "c1_witness<=10p^(2nt+k(t+1)^2)": c1_witness <= c1_coarse,
             "c4<=4p^(kt+k(t+1)^2)": c4 <= c4_coarse,
@@ -163,26 +181,25 @@ def feasibility_report(
     docstring).
     """
     constant, c_prime = _exact(constant), _exact(c_prime)
-    budget = _budget_fields(space, t, k, constant, c_prime)
+    report = _budget_fields(space, t, k, constant, c_prime)
     # n_blocks = j m |A|, the least multiple of c1_upper_witness at or above
     # the threshold, so lambda = n_blocks N(t->k) / |X| = n_blocks [k t]_p / |A|
     # (double counting) = j m [k t]_p
-    c1w = budget["c1_upper_witness"]
-    j = -(-budget["n_threshold"] // c1w)
+    c1w = report["c1_upper_witness"]
+    j = -(-report["n_threshold"] // c1w)
     n_blocks = j * c1w
-    lam = j * budget["m"] * gaussian_binomial(k, t, space.p)
-    return {
-        **budget,
+    report |= {
         "constant_C": decimal_string(constant),
         "constant_c_prime": decimal_string(c_prime),
         "k_exceeds_21t_over_2": 2 * k > 21 * t,
         "smallest_feasible_multiple": n_blocks,
-        "n_fits_within_x": n_blocks <= budget["count_kspaces"] - budget["n_threshold"],
-        "n_within_theorem_cap": n_blocks <= budget["theorem_cap_p_21nt"],
-        "lambda_at_n": decimal_string(lam),
+        "n_fits_within_x": n_blocks <= report["count_kspaces"] - report["n_threshold"],
+        "n_within_theorem_cap": n_blocks <= report["theorem_cap_p_21nt"],
+        "lambda_at_n": decimal_string(j * _order_terms(space.p, t, k)[-1]),
         "lambda_is_integer": True,
         "assumptions": {
             "symmetry_c2": "isometry group transitivity (classical), not computed",
             "c1": "upper witness m*|A|, not the minimal divisibility constant",
         },
     }
+    return report

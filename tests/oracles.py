@@ -13,6 +13,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from polardesign import _pykernels as kernels
+from polardesign.counting import decimal_string, gaussian_binomial, polar_count
+from polardesign.decode import build_decoding_system
 from polardesign.fields import FieldTable
 from polardesign.geometry import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -21,6 +23,7 @@ from polardesign.geometry import (
     _final_level,
     _rep_codes,
 )
+from polardesign.klp import _exact, ceil_log2
 
 
 def all_vectors(p: int, d: int):
@@ -548,6 +551,103 @@ def reference_klp_thresholds(budget, constant, c_prime) -> tuple[int, int]:
         ceil(Fraction(constant) * c3**2 * dim_l**6 * budget["log_term"]**6),
         ceil(Fraction(c_prime) * c3**3 * dim_l**7),
     )
+
+
+# The bound chain as klp computed it before its powers of p were shared
+# through memos: every integer recomputed per report.  The oracle for the
+# values and key order of klp_budget and feasibility_report.
+def _reference_budget_fields(space, t, k, constant, c_prime) -> dict:
+    if constant.numerator <= 0 or c_prime.numerator <= 0:
+        raise ValueError("the universal constants must be positive")
+    if not 1 <= t <= k:
+        raise ValueError("need 1 <= t <= k")
+    if t + k > space.n:
+        raise ValueError("needs t + k <= rank")
+    n, p = space.n, space.p
+
+    system = build_decoding_system(p, t, k)
+    m, gamma_l1 = system.m, system.gamma_l1
+    c4 = max(m, gamma_l1)
+    count_a = polar_count(space, t)
+    count_x = polar_count(space, k)
+
+    p_2nt, p_kt, p_det = p ** (2 * n * t), p ** (k * t), p ** (k * (t + 1) ** 2)
+    c1_witness = m * count_a
+    c1_coarse = 10 * p_2nt * p_det
+    c4_coarse = 4 * p_kt * p_det
+    c3 = 2 * 1 * c4 * count_a
+    c3_coarse = 80 * p_2nt * p_kt * p_det
+    a_coarse = 10 * p_2nt
+    x_lower = p ** (2 * n * k - (3 * k * k + 1) // 2)
+
+    dim_l = count_a
+    c3_dim_l = c3 * dim_l
+    log_term = ceil_log2(2 * c3_dim_l)
+    shared = (c3_dim_l * dim_l * dim_l) ** 2
+    n_threshold = -((-constant.numerator * shared * log_term**6) // constant.denominator)
+    relaxed = -((-c_prime.numerator * shared * c3_dim_l) // c_prime.denominator)
+
+    return {
+        "family": space.family,
+        "n": n,
+        "q": space.q,
+        "p": p,
+        "t": t,
+        "k": k,
+        "m": m,
+        "gamma_l1": gamma_l1,
+        "c1_upper_witness": c1_witness,
+        "c1_coarse_bound": c1_coarse,
+        "c2": 1,
+        "c3_from_c4": c3,
+        "c3_coarse_bound": c3_coarse,
+        "c4_exact": c4,
+        "c4_coarse_bound": c4_coarse,
+        "count_tspaces": count_a,
+        "count_tspaces_coarse_bound": a_coarse,
+        "dim_l_bound": dim_l,
+        "count_kspaces": count_x,
+        "count_kspaces_lower_bound": x_lower,
+        "log_term": log_term,
+        "n_threshold": n_threshold,
+        "relaxed_threshold": relaxed,
+        "theorem_cap_p_21nt": p ** (21 * n * t),
+        "inequalities": {
+            "c1_witness<=10p^(2nt+k(t+1)^2)": c1_witness <= c1_coarse,
+            "c4<=4p^(kt+k(t+1)^2)": c4 <= c4_coarse,
+            "2c2c4A<=80p^(2nt+kt+k(t+1)^2)": c3 <= c3_coarse,
+            "A<=10p^(2nt)": count_a <= a_coarse,
+            "X>=p^(2nk-ceil(3k^2/2))": count_x >= x_lower,
+            "c1_witness<=|detD||A|": c1_witness <= m * count_a,
+        },
+    }
+
+
+def reference_feasibility_report(space, t, k, constant=1, c_prime=1) -> tuple[dict, dict]:
+    """(report, budget): what ``feasibility_report`` and ``klp_budget``
+    return at these parameters, each integer computed afresh."""
+    constant, c_prime = _exact(constant), _exact(c_prime)
+    budget = _reference_budget_fields(space, t, k, constant, c_prime)
+    c1w = budget["c1_upper_witness"]
+    j = -(-budget["n_threshold"] // c1w)
+    n_blocks = j * c1w
+    lam = j * budget["m"] * gaussian_binomial(k, t, space.p)
+    report = {
+        **budget,
+        "constant_C": decimal_string(constant),
+        "constant_c_prime": decimal_string(c_prime),
+        "k_exceeds_21t_over_2": 2 * k > 21 * t,
+        "smallest_feasible_multiple": n_blocks,
+        "n_fits_within_x": n_blocks <= budget["count_kspaces"] - budget["n_threshold"],
+        "n_within_theorem_cap": n_blocks <= budget["theorem_cap_p_21nt"],
+        "lambda_at_n": decimal_string(lam),
+        "lambda_is_integer": True,
+        "assumptions": {
+            "symmetry_c2": "isometry group transitivity (classical), not computed",
+            "c1": "upper witness m*|A|, not the minimal divisibility constant",
+        },
+    }
+    return report, budget
 
 
 def _det_exact(rows: Sequence[Sequence[int]]) -> int:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_klp_thresholds
+from oracles import reference_feasibility_report, reference_klp_thresholds
+from polardesign import klp
 from polardesign.counting import (
     decimal_string,
     gaussian_binomial,
@@ -304,3 +305,45 @@ def test_lambda_at_n_matches_the_fraction_ratio(case, constant, c_prime):
     assert report["lambda_at_n"] == decimal_string(lambda_ratio(space, t, k, n_blocks))
     assert n_blocks % report["c1_upper_witness"] == 0
     assert report["lambda_is_integer"] is True
+
+
+def _interleaved_grid():
+    # both report grids, ordered by p and then (t, k, n) with the families
+    # innermost, so that consecutive reports share (p, n, t) and (p, t, k)
+    # across families
+    cases = [*_report_grid(), *_wide_report_grid()]
+    return sorted(cases, key=lambda case: (case[0].p, case[1], case[2], case[0].n, case[0].family))
+
+
+def test_reports_match_the_reference_across_families_and_constants():
+    # values and key order of the report, its inequalities and klp_budget,
+    # with the memos read across families and across constant pairs
+    pairs = ((1, 1), (Fraction(3, 2), Fraction(2, 3)), (Fraction(7, 3), 5))
+    for space, t, k in _interleaved_grid():
+        for constant, c_prime in pairs:
+            report = feasibility_report(space, t, k, constant, c_prime)
+            budget = klp_budget(space, t, k, constant, c_prime)
+            expected, expected_budget = reference_feasibility_report(space, t, k, constant, c_prime)
+            where = (space.family, space.p, space.n, t, k, constant, c_prime)
+            assert list(report.items()) == list(expected.items()), where
+            assert list(budget.items()) == list(expected_budget.items()), where
+            for key in ("inequalities", "assumptions"):
+                assert list(report[key].items()) == list(expected[key].items()), where
+            assert list(budget["inequalities"].items()) == list(
+                expected_budget["inequalities"].items()
+            ), where
+
+
+def test_shared_power_memos_stay_within_their_bounds():
+    # a sweep over more ranks, and more (t, k), than either memo holds: the
+    # caps have 21nt*log2(p) bits, so an unbounded memo would grow with n
+    memos = (klp._rank_powers, klp._order_terms)
+    ranks = max(memo.cache_info().maxsize for memo in memos) + 8
+    for n in range(2, ranks + 2):
+        feasibility_report(standard_polar_space("C", n, 2), 1, 1)
+    space = standard_polar_space("C", 2 * ranks, 3)
+    for k in range(1, ranks + 1):
+        feasibility_report(space, 1, k)
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
