@@ -18,12 +18,13 @@ t-subspaces or a slice of points.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress
 from struct import iter_unpack, unpack
 
 _SLICE_POINTS = 1 << 14  # the most points of perp(S) / S built in one string
 _CUT_RECORDS = 64  # records per struct item in _records
+_ZERO_TO_ONE = bytes([1]) + bytes(255)  # translate table: 1 for 0, 0 for the rest
 
 
 def _records(mats, size):
@@ -111,7 +112,17 @@ def extend_level(mats, count, j, d, form, start):
     comes from exactly one pair.  The two tests run on all of a group's
     heads at once, on its column strings: with w = form.pairing_row(r),
     column g scaled by w_g and summed gives B(., r) on the whole group.
-    ``form`` is the ``FormEvaluator`` on F_p^d."""
+    ``form`` is the ``FormEvaluator`` on F_p^d.
+
+    Only words that can have children are joined: with a group's words
+    sorted by lead, the words that share the smallest lead have no head
+    before theirs, so a group whose heads all share one lead is skipped
+    and the rest start past them.  A pairing row is read once per distinct
+    head within one call, kept as its (g, scale table of w_g) pairs for
+    w_g != 0, since one head leads words of many groups.  A parent's
+    children come from one join: the word P between the heads that pass
+    both tests, picked from the group's heads by the tests' zero bytes,
+    then P once more after the last."""
     if j == 0:
         return _start_children(start, d, form)
     field, scale = form.field, form.field.scale_tables
@@ -126,31 +137,36 @@ def extend_level(mats, count, j, d, form, start):
         groups.setdefault(tail, []).append((mats.index(1, base) - base) * span + base)
 
     out = bytearray()
+    pairings = {}  # head -> (g, scale[w_g]) for each w_g != 0 of its pairing row
     for members in groups.values():
         members.sort()
         leads = [member // span for member in members]
-        heads = b"".join([mats[head : head + d] for head in (m % span for m in members)])
+        first = bisect_right(leads, leads[0])  # the first head with a head before it
+        if first == len(members):
+            continue
+        records = [mats[m % span : m % span + d] for m in members]
+        heads = b"".join(records)
         columns = [heads[c::d] for c in range(d)]
-        for member in members:
-            lead_r, r = divmod(member, span)
-            below = bisect_left(leads, lead_r)  # the heads leading before r
-            if not below:
-                continue
+        for i in range(first, len(members)):
+            lead_r, r = divmod(members[i], span)
+            below = bisect_left(leads, lead_r, 0, i)  # the heads leading before r
+            head = records[i]
+            terms = pairings.get(head)
+            if terms is None:
+                row = form.pairing_row(head)
+                terms = pairings[head] = [(g, scale[wg]) for g, wg in enumerate(row) if wg]
             pairing = None  # B(v, r) for every head v of the group
-            for g, wg in enumerate(form.pairing_row(mats[r : r + d])):
-                if wg:
-                    term = columns[g].translate(scale[wg])
-                    pairing = term if pairing is None else _add_strings(pairing, term, field)
+            for g, table in terms:
+                term = columns[g].translate(table)
+                pairing = term if pairing is None else _add_strings(pairing, term, field)
             # zero exactly where B(v, r) = 0 and v[lead(r)] = 0
             fails = int.from_bytes(pairing, "little") | int.from_bytes(columns[lead_r], "little")
-            fails = fails.to_bytes(len(members), "little")
+            keep = fails.to_bytes(len(members), "little")[:below].translate(_ZERO_TO_ONE)
             word = mats[r : r + msize]
-            i = fails.find(0, 0, below)
-            while i >= 0:
-                v = members[i] % span
-                out += mats[v : v + d]
+            children = word.join(compress(records, keep))
+            if children:
+                out += children
                 out += word
-                i = fails.find(0, i + 1, below)
     return bytes(out)
 
 

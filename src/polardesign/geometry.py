@@ -172,7 +172,8 @@ class Subspace(NamedTuple):
     def from_bytes(cls, data: bytes, k: int, d: int) -> "Subspace":
         if len(data) != k * d:
             raise ValueError(f"{len(data)} codes do not form a {k}x{d} matrix")
-        return cls(d, data)
+        # the NamedTuple's generated __new__ is a Python call per object
+        return tuple.__new__(cls, (d, data))
 
     @property
     def k(self) -> int:

@@ -303,6 +303,55 @@ def reference_extend_level(mats, count, j, d, form, start_pivots):
     return bytes(out)
 
 
+# The join of _pykernels.extend_level before it skipped heads that cannot
+# have children, memoised pairing rows per head and wrote a parent's children
+# in one join, kept verbatim as the reference for the bytes it returns.
+def reference_join_level(mats, count, j, d, form, start):
+    """``extend_level``'s level j + 1 of a walk from ``start``, by joining
+    every word of a group with every head of the group that leads before
+    its own, one pairing row read per word and two appends per child."""
+    if j == 0:
+        return kernels._start_children(start, d, form)
+    field, scale = form.field, form.field.scale_tables
+
+    # words by position, per tail: one int per word, lead(head) * span +
+    # the word's offset, so words sort by the lead of their head
+    msize = j * d
+    span = count * msize
+    groups = {}
+    for base in range(0, span, msize):
+        tail = mats[base + d : base + msize]
+        groups.setdefault(tail, []).append((mats.index(1, base) - base) * span + base)
+
+    out = bytearray()
+    for members in groups.values():
+        members.sort()
+        leads = [member // span for member in members]
+        heads = b"".join([mats[head : head + d] for head in (m % span for m in members)])
+        columns = [heads[c::d] for c in range(d)]
+        for member in members:
+            lead_r, r = divmod(member, span)
+            below = bisect_left(leads, lead_r)  # the heads leading before r
+            if not below:
+                continue
+            pairing = None  # B(v, r) for every head v of the group
+            for g, wg in enumerate(form.pairing_row(mats[r : r + d])):
+                if wg:
+                    term = columns[g].translate(scale[wg])
+                    pairing = term if pairing is None else kernels._add_strings(pairing, term, field)
+            # zero exactly where B(v, r) = 0 and v[lead(r)] = 0
+            fails = int.from_bytes(pairing, "little") | int.from_bytes(columns[lead_r], "little")
+            fails = fails.to_bytes(len(members), "little")
+            word = mats[r : r + msize]
+            i = fails.find(0, 0, below)
+            while i >= 0:
+                v = members[i] % span
+                out += mats[v : v + d]
+                out += word
+                i = fails.find(0, i + 1, below)
+    return bytes(out)
+
+
 # The enumeration rule that geometry.FormEvaluator's radical rule replaced,
 # kept verbatim as the reference for which quadratic forms are nondegenerate.
 def reference_kernel_vectors(flat, rows, cols, field):

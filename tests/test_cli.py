@@ -584,6 +584,12 @@ _PINNED = [
      "85382b398af36c8cbe733808d4995f358faea41323cbdc5afe8d6237e9a0b1ed"),
     ("search --family B --q 3 --n 3 --t 2 --k 3 --lambda 2 --node-budget 2000", 3,
      "38c8f730eb4e2fef74204e6efa127492e8861b812ce228320c250df4903026c8"),
+    # the 11,475-member level 3 of C_4 q=2, where most groups' heads share
+    # one lead, and an alternating form over F_4 at rank 3
+    ("enumerate --family C --q 2 --n 4 --k 3", 0,
+     "308397d86034a16564175d45237f8fc19c1432d58d16622a4065d9687561d865"),
+    ("enumerate --family C --q 4 --n 3 --k 3", 0,
+     "6a593693167b61dea9e2733cadb8b526d10e0fc83901852e795a82793cdfb52f"),
 ]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from oracles import (
     reference_anisotropic_coeff,
     reference_bilinear,
     reference_extend_level,
+    reference_join_level,
     reference_quadratic,
     reference_quadric_is_nondegenerate,
     span_vectors,
@@ -495,6 +497,50 @@ def test_kernel_matches_the_per_parent_reference(family, n, q, data):
         want = _kernel_levels(reference_extend_level, form, [start], t, pivots)
         words = _kernel_levels(_pykernels.extend_level, form, [b""], 0, start)
         assert [_with_start(sp.field, start, level, sp.d) for level in words] == want
+
+
+@pytest.mark.parametrize("family,n,q", JOIN_INSTANCES)
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.data())
+def test_join_returns_the_bytes_of_the_reference_join(family, n, q, data):
+    # the same bytes in the same order, not only the same level, on every
+    # level of a walk from the zero space or from a random canonical start,
+    # under the standard form or a dense one, each level fed in as the
+    # kernel wrote it or sorted
+    sp = standard_polar_space(family, n, q)
+    dense = data.draw(st.booleans())
+    form = dense_form(sp, random.Random(data.draw(st.integers(0, 99)))) if dense else sp.form
+    t = data.draw(st.integers(0, sp.n))
+    start = data.draw(st.sampled_from(isotropic_kspaces(sp, t))).data if t else b""
+    ordered = data.draw(st.booleans())
+    mats, count, j = b"", 1, 0
+    while count:
+        raw = _pykernels.extend_level(mats, count, j, sp.d, form, start)
+        assert raw == reference_join_level(mats, count, j, sp.d, form, start)
+        j += 1
+        count = len(raw) // (j * sp.d)
+        mats = b"".join(sorted(_pykernels._records(raw, j * sp.d))) if ordered and count else raw
+
+
+@pytest.mark.parametrize("family,n", [("C", 4), ("D", 5)])
+def test_join_peak_memory_follows_its_input_and_output(family, n):
+    # level 3 -> 4 over F_2: 11,475 words of C_4 into 2,295, and 118,575 of
+    # D_5 into 71,145; the join keeps one int per word beside its heads and
+    # its output, so its allocations stay within 3 x the bytes in and out
+    sp = standard_polar_space(family, n, 2)
+    clear_enumeration_cache()
+    try:
+        mats = b"".join(s.data for s in isotropic_kspaces(sp, 3))
+    finally:
+        clear_enumeration_cache()
+    tracemalloc.start()
+    try:
+        raw = _pykernels.extend_level(mats, polar_count(sp, 3), 3, sp.d, sp.form, b"")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(raw) == polar_count(sp, 4) * 4 * sp.d
+    assert peak <= 3 * (len(mats) + len(raw))
 
 
 # all six families at q = 2 and n <= 3 but H(6, 4), 2A-even at n = 3, whose
