@@ -1,6 +1,11 @@
 """Explicit design search at desk scale on bitmasks of options: the exact
 cover (Knuth's Algorithm X) for lambda = 1 and the exact multiplicity-lambda
 cover for lambda > 1 share per-constraint option masks and one live mask.
+The exact cover keeps only the state its picks reuse: it chooses one of two
+rules for its live-option counts from the matrix's shape.  Where a packed row
+of counts is narrow against an option's entries, it sums the packed rows of
+the killed options, caching a row from the option's second kill; where it is
+wide, it decrements the killed options' counts in place and builds no rows.
 
 Constraints are the isotropic t-spaces, options are the isotropic k-spaces,
 both in lexicographic enumeration order; given (method, seed) the search and
@@ -102,14 +107,26 @@ def _exact_cover(n_constraints, options, node_budget, count_all=False):
     Branches on the first live constraint with the fewest live options and
     tries them in increasing position, as Knuth's Algorithm X (and the
     branching order of dancing links).  Live options are one int bitmask.
-    Each constraint's live-option count is one fixed-width field of the
-    packed int ``counts`` (constraint c in bytes c*width.. of its
-    little-endian bytes), wide enough for the largest column degree; the
-    field's top bit marks a covered constraint, so a covered constraint never
-    has the fewest.  A pick kills every live option sharing a constraint with
-    it and updates ``counts`` by one big-int sum of the killed options'
-    packed 0/1 rows.  Depth-first with an explicit stack, one frame per
-    chosen option; backtracking restores the frame's counts and live."""
+    Each constraint's live-option count is one field ``width`` bytes wide,
+    wide enough for the largest column degree; the field's top bit marks a
+    covered constraint, so a covered constraint never has the fewest.  A pick
+    kills every live option sharing a constraint with it, and the counts
+    follow by one of two update rules, chosen by the matrix's shape alone:
+
+    - packed, where a row of fields is narrow against an option's entries
+      (constraints * width <= 100 * entries per option): ``counts`` is one
+      packed int (constraint c in bytes c*width.. of its little-endian
+      bytes), updated by one big-int sum of the killed options' packed 0/1
+      rows.  A row is built on every kill but cached only from the option's
+      second kill, as most options die once; one bit per option marks the
+      first kill.
+    - in place, where a row would be wide: ``counts`` is a bytearray (a
+      list for wider fields), each killed option decrements its own fields,
+      and no row is built.
+
+    Depth-first with an explicit stack, one frame per chosen option, which
+    keeps live and the counts before its pick (the packed int itself, or a
+    bytes snapshot); backtracking restores both from the frame it resumes."""
     colmask = _column_masks(n_constraints, options)
     degrees = [mask.bit_count() for mask in colmask]
     for typecode in "BHILQ":
@@ -117,8 +134,39 @@ def _exact_cover(n_constraints, options, node_budget, count_all=False):
         if max(degrees, default=0) < 1 << (8 * width - 1):
             break
     covered, n_bytes = 1 << (8 * width - 1), n_constraints * width
-    counts = int.from_bytes(b"".join(d.to_bytes(width, "little") for d in degrees), "little")
-    rows = [0] * len(options)  # per option: its packed 0/1 row, built on first kill
+    # a packed row of counts is wide against the entries an option has
+    in_place = n_bytes * len(options) > 100 * sum(map(len, options))
+    if in_place:
+        # a bytearray finds the fewest at C speed; wider fields live in a list,
+        # whose items update faster than an array's, and are kept as array bytes
+        if width == 1:
+            counts, snapshot, restore = bytearray(degrees), bytes, bytearray
+        else:
+            counts = degrees
+
+            def snapshot(counts):
+                return array(typecode, counts).tobytes()
+
+            def restore(saved):
+                return array(typecode, saved).tolist()
+
+    else:
+        counts = int.from_bytes(b"".join(d.to_bytes(width, "little") for d in degrees), "little")
+        rows = [0] * len(options)  # per option: its packed 0/1 row, from its second kill
+        once = bytearray((len(options) + 7) // 8)  # per option: a bit set by its first kill
+
+        def packed_row(other):
+            packed = bytearray(n_bytes)
+            for c in options[other]:
+                packed[c * width] = 1
+            row = int.from_bytes(packed, "little")
+            bit = 1 << (other & 7)
+            if once[other >> 3] & bit:
+                rows[other] = row
+            else:
+                once[other >> 3] |= bit
+            return row
+
     live = (1 << len(options)) - 1
     stack = []  # per level: (candidates left, live and counts before the pick, pick)
     nodes = count = 0
@@ -126,18 +174,19 @@ def _exact_cover(n_constraints, options, node_budget, count_all=False):
         nodes += 1
         if nodes > node_budget:
             return (count if count_all else None), nodes, True
-        raw = counts.to_bytes(n_bytes, "little")
+        fields = counts if in_place else counts.to_bytes(n_bytes, "little")
         if width == 1:
             for least in range(covered):
-                best = raw.find(least)
+                best = fields.find(least)
                 if best >= 0:
                     break
             else:
                 least = covered
         else:
-            fields = array(typecode, raw)
-            if sys.byteorder == "big":
-                fields.byteswap()
+            if not in_place:
+                fields = array(typecode, fields)
+                if sys.byteorder == "big":
+                    fields.byteswap()
             least = min(fields)
             best = fields.index(least)
         if 0 < least < covered:
@@ -154,26 +203,33 @@ def _exact_cover(n_constraints, options, node_budget, count_all=False):
                     break
             else:
                 return (count if count_all else None), nodes, False
+            if in_place:
+                counts = restore(counts)
         low = candidates & -candidates
         pos = low.bit_length() - 1
-        stack.append((candidates ^ low, live, counts, pos))
+        stack.append((candidates ^ low, live, snapshot(counts) if in_place else counts, pos))
         kill = 0
         for c in options[pos]:
             kill |= colmask[c]
         kill &= live
         live ^= kill
+        kill ^= low  # the pick's own constraints become covered below
+        if in_place:
+            while kill:
+                other = kill.bit_length() - 1
+                kill ^= 1 << other
+                for c in options[other]:
+                    counts[c] -= 1
+            for c in options[pos]:
+                counts[c] = covered
+            continue
         killed = 0
         while kill:  # highest bit first: kill shrinks as it goes
             other = kill.bit_length() - 1
             kill ^= 1 << other
-            row = rows[other]
-            if not row:
-                packed = bytearray(n_bytes)
-                for c in options[other]:
-                    packed[c * width] = 1
-                row = rows[other] = int.from_bytes(packed, "little")
-            killed += row
-        counts += covered * rows[pos] - killed
+            killed += rows[other] or packed_row(other)
+        # the pick is left alone on its constraints: their fields go 1 -> covered
+        counts += (covered - 1) * (rows[pos] or packed_row(pos)) - killed
 
 
 def _multicover(n_constraints, options, lam, node_budget):

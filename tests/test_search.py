@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -18,6 +20,8 @@ from polardesign.search import (
     DivisibilityError,
     SearchFailure,
     SearchProblem,
+    _column_masks,
+    _exact_cover,
     cover_matrix,
     count_spreads,
     find_design,
@@ -205,6 +209,13 @@ RANDOMIZED = "randomized-greedy-with-backtracking"
          ("8241e8849f6861128eff0ea586fe36b7b2dc969dd38c8566a946c7d718e23de4", 20)),
         ("C", 4, 2, 1, 4, 1, RANDOMIZED, 1, None,
          ("398f86d6cb526f4a42caa5503b2b819f51534eeab12261a4b1ca0bf9cf4bf120", 20)),
+        # rows wide against 15 entries per option: counts updated in place
+        ("D", 4, 2, 3, 4, 1, "exact-cover", 0, None,
+         ("6a3ee3c4b693d46ce2c9e29f937659a78ad1e995ac8a904da476b0a5308a5516", 136)),
+        ("D", 4, 2, 3, 4, 1, RANDOMIZED, 1, None,
+         ("edf7ba4ecbbfc4b42d678d9be9d9d8f4e148623523544ef7c985bcca7a004eac", 136)),
+        # in place with two-byte counts
+        ("D", 4, 3, 1, 2, 1, "exact-cover", 0, 2000, ("budget", 2001)),
         # multiplicity cover (lambda > 1)
         ("B", 3, 2, 1, 3, 2, "exact-cover", 0, None,
          ("33ba1f3cc41e09be5ee8fcec32a5a01f6d873ebca63dfe67ef431a9a5e5df7cc", 11226)),
@@ -237,6 +248,25 @@ def test_search_outcomes_and_node_counts_are_pinned(
     else:
         digest = hashlib.sha256(design_to_json(result).encode()).hexdigest()
         assert (digest, result.provenance["nodes"]) == expected
+
+
+@pytest.mark.parametrize("family,n,q,t,k", [("C", 4, 2, 1, 4), ("B", 3, 3, 2, 3)])
+def test_exact_cover_peak_memory_follows_its_column_masks(family, n, q, t, k):
+    # C_4 q=2 1-(4,4,1) keeps packed rows (255 constraints, 15 per option),
+    # B_3 q=3 2-(3,3,1) updates its counts in place (3,640 constraints, 13 per
+    # option); beside the column masks the solver keeps only the rows of
+    # options killed twice, or a bytes snapshot of the counts per frame
+    matrix = cover_matrix(standard_polar_space(family, n, q), t, k)
+    n_constraints, options = len(matrix.tspaces), matrix.column_rows
+    mask_bytes = sum(map(sys.getsizeof, _column_masks(n_constraints, options)))
+    tracemalloc.start()
+    try:
+        _, _, budget_hit = _exact_cover(n_constraints, options, SearchProblem.node_budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not budget_hit
+    assert peak <= 4 * mask_bytes
 
 
 @pytest.mark.parametrize("family,n,k,expected", [("D", 2, 2, 2), ("C", 3, 3, 960), ("D", 3, 3, 0)])

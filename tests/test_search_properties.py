@@ -1,7 +1,8 @@
 """Property tests of the two search solvers against brute force on random
 0/1 option matrices (at most 10 options over at most 8 constraints), and of
 each solver against its reference in tests/oracles.py, also on matrices
-where one constraint has 128 to 300 options."""
+where one constraint has 128 to 300 options and, for the exact cover, on
+tall matrices of 101 to 400 constraints with 1 to 3 per option."""
 
 import random
 from collections import Counter
@@ -41,6 +42,40 @@ def wide_option_matrices(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         cols = [c for c in range(1, n_constraints) if rnd.random() < density]
         options.append(tuple(cols or [rnd.randrange(1, n_constraints)]))
+    rnd.shuffle(options)
+    return n_constraints, options
+
+
+@st.composite
+def tall_option_matrices(draw):
+    """(n_constraints, options) with 101 to 400 constraints and 1 to 3
+    constraints per option, fewer than one per hundred constraints, so a
+    packed row of counts would be wide and the exact cover updates its counts
+    in place.  A planted exact cover (a partition of the constraints), less one
+    of its options in half the matrices, and random options, shuffled; in
+    half the matrices constraint 0 is in 128 to 300 more options, so its
+    count takes two bytes.  The rows come from a seeded
+    ``random.Random``, as in ``wide_option_matrices``."""
+    n_constraints = draw(st.integers(min_value=101, max_value=400))
+    per_option = min(3, (n_constraints - 1) // 100)
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def option(first=()):
+        rest = rnd.sample(range(len(first), n_constraints), rnd.randint(1, per_option) - len(first))
+        return tuple(sorted((*first, *rest)))
+
+    left = list(range(n_constraints))
+    rnd.shuffle(left)
+    options = []
+    while left:
+        size = rnd.randint(1, per_option)
+        options.append(tuple(sorted(left[:size])))
+        del left[:size]
+    if draw(st.booleans()):
+        options.pop()  # then the matrix may have no exact cover
+    options += [option() for _ in range(draw(st.integers(min_value=0, max_value=n_constraints // 4)))]
+    if draw(st.booleans()):
+        options += [option((0,)) for _ in range(draw(st.integers(min_value=128, max_value=300)))]
     rnd.shuffle(options)
     return n_constraints, options
 
@@ -97,10 +132,10 @@ def test_multicover_finds_a_design_exactly_when_one_exists(matrix, lam):
         assert picks is None
 
 
-@settings(derandomize=True, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(
-    st.one_of(option_matrices(), wide_option_matrices()),
-    st.integers(min_value=1, max_value=400),
+    st.one_of(option_matrices(), wide_option_matrices(), tall_option_matrices()),
+    st.integers(min_value=1, max_value=2000),
     st.booleans(),
 )
 def test_exact_cover_matches_the_reference_solver(matrix, node_budget, count_all):
